@@ -15,8 +15,10 @@ use transrec::fleet::{
     run_fleet_campaign, CampaignOptions, CampaignStatus, FleetPlan, FleetReport,
 };
 use transrec::telemetry::{settle_cycle, ProbeSpec, UtilTrace, DEFAULT_EPOCH_CYCLES};
-use transrec::traffic::{run_serving_campaign, ServePlan, ServeReport, ServeStatus, TrafficSpec};
-use transrec::{run_sweep, run_sweep_observed, EnergyParams, SuiteRun, SweepPlan, SystemConfig};
+use transrec::traffic::{run_serving_campaign, ServePlan, ServeReport, TrafficSpec};
+use transrec::{
+    run_sweep, run_sweep_observed, EnergyParams, SuiteRun, SweepPlan, SystemConfig, SystemError,
+};
 use uaware::{derive_cell_seed, MovementGranularity, PatternSpec, PolicySpec};
 
 use crate::reports::*;
@@ -511,7 +513,9 @@ pub fn gap(ctx: &ExperimentContext) -> GapReport {
 pub fn fig_lifetime(ctx: &ExperimentContext, devices: usize) -> FleetReport {
     let options =
         CampaignOptions { collect_metrics: ctx.collect_metrics, ..CampaignOptions::default() };
-    match fig_lifetime_campaign(ctx, devices, default_lanes(devices), None, &options) {
+    match fig_lifetime_campaign(ctx, devices, default_lanes(devices), None, &options)
+        .expect("fleet runs")
+    {
         CampaignStatus::Complete(report) => *report,
         CampaignStatus::Paused { .. } => unreachable!("no stop was requested"),
     }
@@ -529,14 +533,15 @@ pub fn default_lanes(devices: usize) -> usize {
 /// [`fig_lifetime`] with the fleet-scale knobs exposed: explicit workload
 /// `lanes`, an optional shard-size override, and campaign
 /// checkpoint/early-stop `options` (the `fig_lifetime` binary's
-/// `--lanes/--shard/--checkpoint/--checkpoint-every/--stop-after` flags).
+/// `--lanes/--shard/--checkpoint/--checkpoint-every/--stop-after` flags),
+/// failing with the campaign's [`SystemError`] (e.g. a bad checkpoint).
 pub fn fig_lifetime_campaign(
     ctx: &ExperimentContext,
     devices: usize,
     lanes: usize,
     shard_devices: Option<usize>,
     options: &CampaignOptions,
-) -> CampaignStatus {
+) -> Result<CampaignStatus<FleetReport>, SystemError> {
     let specs: Vec<PolicySpec> =
         std::iter::once(PolicySpec::Baseline).chain(ctx.policies.iter().copied()).collect();
     let mut plan = FleetPlan::new(ctx.seed, Fabric::be())
@@ -547,7 +552,7 @@ pub fn fig_lifetime_campaign(
     if let Some(shard) = shard_devices {
         plan = plan.shard_devices(shard);
     }
-    run_fleet_campaign(&plan, ctx.jobs, options).expect("fleet runs")
+    run_fleet_campaign(&plan, ctx.jobs, options)
 }
 
 /// The workload/traffic lanes `fleet_serve` uses when `--lanes` is
@@ -575,15 +580,18 @@ pub fn fleet_serve(ctx: &ExperimentContext, devices: usize, horizon_days: u64) -
         None,
         None,
         &options,
-    ) {
-        ServeStatus::Complete(report) => *report,
-        ServeStatus::Paused { .. } => unreachable!("no stop was requested"),
+    )
+    .expect("serving runs")
+    {
+        CampaignStatus::Complete(report) => *report,
+        CampaignStatus::Paused { .. } => unreachable!("no stop was requested"),
     }
 }
 
 /// [`fleet_serve`] with the campaign knobs exposed: explicit lanes, an
 /// optional traffic mix and shard-size override, and checkpoint/early-stop
-/// `options` (the `fleet_serve` binary's flags).
+/// `options` (the `fleet_serve` binary's flags), failing with the
+/// campaign's [`SystemError`] (e.g. a bad checkpoint).
 pub fn fleet_serve_campaign(
     ctx: &ExperimentContext,
     devices: usize,
@@ -592,7 +600,7 @@ pub fn fleet_serve_campaign(
     traffic: Option<Vec<TrafficSpec>>,
     shard_devices: Option<usize>,
     options: &CampaignOptions,
-) -> ServeStatus {
+) -> Result<CampaignStatus<ServeReport>, SystemError> {
     let specs: Vec<PolicySpec> =
         std::iter::once(PolicySpec::Baseline).chain(ctx.policies.iter().copied()).collect();
     let mut plan = ServePlan::new(ctx.seed, Fabric::be())
@@ -607,7 +615,7 @@ pub fn fleet_serve_campaign(
     if let Some(shard) = shard_devices {
         plan = plan.shard_devices(shard);
     }
-    run_serving_campaign(&plan, ctx.jobs, options).expect("serving runs")
+    run_serving_campaign(&plan, ctx.jobs, options)
 }
 
 /// Table II — area/cells of the BE fabric, baseline vs modified, plus the

@@ -19,14 +19,15 @@ pub use experiments::{
     fleet_serve_campaign, gap, layout, table1, table2, ExperimentContext, CONVERGENCE_TOLERANCE,
 };
 pub use flags::{
-    apply_cli_flags, parse_checkpoint_every_flag, parse_checkpoint_flag, parse_devices_flag,
-    parse_fabric_flags, parse_horizon_days_flag, parse_jobs_flag, parse_lanes_flag,
-    parse_metrics_flag, parse_policy_flags, parse_shard_flag, parse_stop_after_flag,
-    parse_traffic_flags,
+    apply_cli_flags, parse_campaign_flags, parse_devices_flag, parse_fabric_flags,
+    parse_horizon_days_flag, parse_jobs_flag, parse_lanes_flag, parse_metrics_flag,
+    parse_policy_flags, parse_shard_flag, parse_traffic_flags,
 };
 pub use gate::{GateOutcome, GateRow, GateStatus, DEFAULT_TOLERANCE};
 
 use std::path::PathBuf;
+
+use transrec::{CampaignStatus, SystemError};
 
 /// Directory where experiment JSON lands (`<workspace>/results`).
 pub fn results_dir() -> PathBuf {
@@ -50,4 +51,36 @@ pub fn save_json<T: serde::Serialize>(name: &str, value: &T) {
     let json = serde_json::to_string_pretty(value).expect("serialize report");
     std::fs::write(&path, json).expect("write report");
     eprintln!("[saved {}]", path.display());
+}
+
+/// The ending both campaign binaries share. A completed campaign prints
+/// its report and saves `results/<file>.json`, plus `metrics.json` when
+/// collecting. A paused one prints the resume hint and saves nothing: it
+/// folded nothing into the global registry, so neither file exists until
+/// completion (the CI resume legs assert both). A failed one prints the
+/// error and exits with status 1.
+pub fn finish_campaign<R: serde::Serialize>(
+    status: Result<CampaignStatus<R>, SystemError>,
+    label: &str,
+    file: &str,
+    collect_metrics: bool,
+    print: impl Fn(&R),
+) {
+    match status {
+        Ok(CampaignStatus::Complete(report)) => {
+            print(&report);
+            save_json(file, &*report);
+            if collect_metrics {
+                save_json("metrics", &obs::global::snapshot());
+            }
+        }
+        Ok(CampaignStatus::Paused { completed_shards, total_shards }) => println!(
+            "== {label} campaign paused: {completed_shards}/{total_shards} shards complete \
+             (resume with the same --checkpoint) =="
+        ),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    }
 }

@@ -14,7 +14,7 @@
 //!   observers ([`telemetry::Observer`]) and probes-as-data
 //!   ([`telemetry::ProbeSpec`], e.g. `util-trace@every-50000`).
 //! * [`energy`] — the component energy model behind Fig. 6.
-//! * [`dse`] — suite runs and the L×W design-space sweep.
+//! * [`dse`] — suite runs and the L×W design-space grid.
 //! * [`sweep`] — the parallel sweep engine ([`SweepPlan`], [`run_sweep`]):
 //!   configuration × policy × suite grids sharded across a thread pool
 //!   with byte-identical, worker-count-independent results.
@@ -22,6 +22,9 @@
 //!   ([`FleetPlan`], [`run_fleet`]): multi-year mission sequences with
 //!   wear accumulation, end-of-life fault injection and failure-aware
 //!   reallocation, fanned out over N-device fleets (DESIGN.md §11).
+//! * [`campaign`] — the checkpointed two-phase engine both [`fleet`] and
+//!   [`traffic`] campaigns run on ([`CampaignOptions`], [`CampaignStatus`],
+//!   typed [`CheckpointErrorKind`] failures; DESIGN.md §12).
 //! * [`traffic`] — live serving on top of the lifetime engine
 //!   ([`ServePlan`], [`run_serving`]): seeded arrival processes (steady /
 //!   diurnal / heavy-tailed), per-device request queues with
@@ -57,6 +60,7 @@
 
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod dse;
 pub mod energy;
 pub mod fleet;
@@ -66,14 +70,14 @@ pub mod system;
 pub mod telemetry;
 pub mod traffic;
 
+pub use campaign::{CampaignOptions, CampaignStatus, CheckpointErrorKind};
 pub use dse::{
-    dse_grid, gpp_reference, run_dse, run_suite, run_suite_with, run_suite_with_baseline,
-    run_suite_with_options, BenchmarkRun, SuiteOptions, SuiteRun,
+    dse_grid, gpp_reference, run_suite, run_suite_with_options, BenchmarkRun, SuiteOptions,
+    SuiteRun,
 };
 pub use energy::{gpp_only_energy, system_energy, EnergyBreakdown, EnergyParams};
 pub use fleet::{
-    run_fleet, run_fleet_campaign, CampaignOptions, CampaignStatus, Defect, DeviceOutcome,
-    FleetPlan, FleetReport, PolicyFleet,
+    run_fleet, run_fleet_campaign, Defect, DeviceOutcome, FleetPlan, FleetReport, PolicyFleet,
 };
 pub use scenario::{Scenario, ALL as SCENARIOS, BE, BP, BU};
 pub use sweep::{run_sweep, run_sweep_observed, SuiteSpec, SweepCell, SweepPlan};
@@ -85,5 +89,5 @@ pub use telemetry::{Observer, ProbeReport, ProbeSpec, SimEvent};
 pub use traffic::{
     probe_service_day, run_serving, run_serving_campaign, BackpressureSpec, DayServeReport,
     LatencyHistogram, ReplacementPolicy, ReplacementSpec, ServeCell, ServePlan, ServeReport,
-    ServeStatus, TrafficSpec,
+    TrafficSpec,
 };

@@ -19,6 +19,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::path::PathBuf;
 
 use cgra::op::OpKind;
 use cgra::{
@@ -33,6 +34,7 @@ use rv32::Program;
 use serde::{Deserialize, Serialize};
 use uaware::{AllocRequest, AllocationPolicy, PolicySpec, UtilizationTracker};
 
+use crate::campaign::CheckpointErrorKind;
 use crate::telemetry::{
     EventCtx, Observer, OffloadOverheads, ProbeReport, ProbeSpec, SimEvent, StatsObserver,
 };
@@ -214,6 +216,14 @@ pub enum SystemError {
     },
     /// The system could not be constructed in the first place.
     Build(BuildError),
+    /// A campaign checkpoint could not be saved or resumed
+    /// (DESIGN.md §12).
+    Checkpoint {
+        /// The checkpoint file.
+        path: PathBuf,
+        /// What went wrong.
+        kind: CheckpointErrorKind,
+    },
 }
 
 impl fmt::Display for SystemError {
@@ -230,6 +240,9 @@ impl fmt::Display for SystemError {
             }
             SystemError::StepLimit { limit } => write!(f, "system step limit {limit} exceeded"),
             SystemError::Build(e) => write!(f, "{e}"),
+            SystemError::Checkpoint { path, kind } => {
+                write!(f, "checkpoint {}: {kind}", path.display())
+            }
         }
     }
 }

@@ -46,7 +46,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::path::Path;
 use std::str::FromStr;
 
 use cgra::{Fabric, FaultMask};
@@ -58,13 +57,13 @@ use rand::distr::{Distribution, Exp, Pareto};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use threadpool::ThreadPool;
-use tracing::{span, Level};
 use uaware::{derive_cell_seed, PolicySpec, UtilizationGrid, UtilizationTracker};
 
-use crate::fleet::{fnv1a64, CampaignOptions, DEFAULT_SHARD_DEVICES};
+use crate::campaign::{self, Campaign, CampaignOptions, CampaignStatus, Shape};
+use crate::dse::gpp_reference;
+use crate::fleet::DEFAULT_SHARD_DEVICES;
 use crate::sweep::SuiteSpec;
-use crate::system::{run_gpp_only, BuildError, System, SystemConfig, SystemError};
+use crate::system::{System, SystemConfig, SystemError};
 use crate::telemetry::{EventCtx, Observer, ProbeReport, ProbeSpec, SimEvent};
 
 /// Seconds in one serving day.
@@ -762,17 +761,7 @@ impl<'a> ServiceTable<'a> {
             let gpp = match &self.gpp {
                 Some(g) => g.clone(),
                 None => {
-                    let mut g = Vec::with_capacity(self.workloads.len());
-                    for w in self.workloads {
-                        let cpu = run_gpp_only(
-                            w.program(),
-                            self.config.mem_size,
-                            self.config.timing,
-                            self.config.max_steps,
-                        )
-                        .map_err(SystemError::Cpu)?;
-                        g.push(cpu.cycles());
-                    }
+                    let g = gpp_reference(self.config, self.workloads)?;
                     self.gpp = Some(g.clone());
                     g
                 }
@@ -1124,7 +1113,7 @@ fn simulate_serving(
 
 /// One (traffic × policy) cell's streaming aggregate: a merge monoid, so
 /// shard partials fold exactly regardless of the split (DESIGN.md §13).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 struct ServeAccum {
     fleet: FleetAccum,
     latency: LatencyHistogram,
@@ -1136,18 +1125,6 @@ struct ServeAccum {
 }
 
 impl ServeAccum {
-    fn new() -> ServeAccum {
-        ServeAccum {
-            fleet: FleetAccum::new(),
-            latency: LatencyHistogram::new(),
-            served_cgra: 0,
-            served_gpp: 0,
-            shed: 0,
-            total_requests: 0,
-            replacements: 0,
-        }
-    }
-
     /// Folds `count` devices sharing `trajectory` into the aggregate.
     /// Every device generation enters the fleet accumulator as one
     /// observation, censored at the campaign horizon.
@@ -1173,122 +1150,6 @@ impl ServeAccum {
         self.total_requests += other.total_requests;
         self.replacements += other.replacements;
     }
-}
-
-/// Weights one shard of devices into one (traffic × policy) cell's
-/// partial aggregate. Class members are byte-identical, so the "replay"
-/// is a weighted fold of the class trajectory (DESIGN.md §13).
-fn run_serve_shard(
-    plan: &ServePlan,
-    trajectories: &[ServeTrajectory],
-    cell: usize,
-    shard: usize,
-) -> ServeAccum {
-    let lanes = plan.effective_lanes().max(1);
-    let start = shard * plan.shard_devices;
-    let end = ((shard + 1) * plan.shard_devices).min(plan.devices);
-    let mut members = vec![0u64; lanes];
-    for device in start..end {
-        members[device % lanes] += 1;
-    }
-    let mut accum = ServeAccum::new();
-    for (lane, &count) in members.iter().enumerate() {
-        if count > 0 {
-            accum.observe_class(&trajectories[cell * lanes + lane], count);
-        }
-    }
-    accum
-}
-
-/// Serving checkpoint format version. v2 added the metrics registry
-/// (DESIGN.md §16).
-const SERVE_CHECKPOINT_VERSION: u32 = 2;
-
-/// Serving checkpoint file magic.
-const SERVE_CHECKPOINT_MAGIC: &str = "uaware-serve-checkpoint";
-
-/// A serving campaign's persisted mid-run state, mirroring the fleet
-/// checkpoint (DESIGN.md §12, §13): phase-1 trajectories plus the merged
-/// partials of every *completed* shard — interrupted shards re-run on
-/// resume, which is what keeps resume byte-identical.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-struct ServeCheckpoint {
-    /// File magic: [`SERVE_CHECKPOINT_MAGIC`].
-    magic: String,
-    /// Format version: [`SERVE_CHECKPOINT_VERSION`].
-    version: u32,
-    /// FNV-1a hash of the plan's debug form; a resume under a different
-    /// plan (or shard split) is rejected.
-    fingerprint: u64,
-    /// Phase-1 trajectories, cell-major
-    /// (`(traffic * policies + policy) * lanes + lane`).
-    trajectories: Vec<ServeTrajectory>,
-    /// Completed shard indices, always the prefix `0..k`.
-    completed_shards: Vec<usize>,
-    /// Per-cell streaming aggregates over the completed shards.
-    accums: Vec<ServeAccum>,
-    /// The metrics registry folded over the phase-1 trajectories (empty
-    /// unless [`CampaignOptions::collect_metrics`] was set). The phase-2
-    /// shard fold is pure arithmetic and emits nothing, so this is the
-    /// campaign's whole registry (DESIGN.md §16).
-    metrics: Registry,
-}
-
-/// The plan fingerprint a serving checkpoint is bound to.
-fn serve_fingerprint(plan: &ServePlan) -> u64 {
-    fnv1a64(format!("v{SERVE_CHECKPOINT_VERSION}:{plan:?}").as_bytes())
-}
-
-/// Atomically persists `checkpoint` (write-then-rename).
-///
-/// # Panics
-///
-/// Panics on IO failure — losing a checkpoint silently would defeat it.
-fn save_serve_checkpoint(path: &Path, checkpoint: &ServeCheckpoint) {
-    let json = serde_json::to_string(checkpoint).expect("checkpoint serializes");
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, json).unwrap_or_else(|e| panic!("write {}: {e}", tmp.display()));
-    std::fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename to {}: {e}", path.display()));
-}
-
-/// Loads and validates a serving checkpoint, if one exists at `path`.
-///
-/// # Panics
-///
-/// Panics on unreadable/corrupt files, version mismatches, a fingerprint
-/// of a different plan, or a non-prefix shard set.
-fn load_serve_checkpoint(path: &Path, plan: &ServePlan) -> Option<ServeCheckpoint> {
-    if !path.exists() {
-        return None;
-    }
-    let json = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("read checkpoint {}: {e}", path.display()));
-    let checkpoint: ServeCheckpoint = serde_json::from_str(&json)
-        .unwrap_or_else(|e| panic!("corrupt checkpoint {}: {e:?}", path.display()));
-    assert_eq!(
-        checkpoint.magic,
-        SERVE_CHECKPOINT_MAGIC,
-        "not a serving checkpoint: {}",
-        path.display()
-    );
-    assert_eq!(
-        checkpoint.version,
-        SERVE_CHECKPOINT_VERSION,
-        "checkpoint {} has unsupported version",
-        path.display()
-    );
-    assert_eq!(
-        checkpoint.fingerprint,
-        serve_fingerprint(plan),
-        "checkpoint {} belongs to a different plan",
-        path.display()
-    );
-    assert!(
-        checkpoint.completed_shards.iter().copied().eq(0..checkpoint.completed_shards.len()),
-        "checkpoint {} has a non-prefix shard set",
-        path.display()
-    );
-    Some(checkpoint)
 }
 
 /// One (traffic × policy) cell of a serving report.
@@ -1363,25 +1224,134 @@ impl ServeReport {
     }
 }
 
-/// What [`run_serving_campaign`] came back with.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ServeStatus {
-    /// The campaign ran to the horizon; here is the full report.
-    Complete(Box<ServeReport>),
-    /// The campaign stopped early at a shard boundary
-    /// ([`CampaignOptions::stop_after_shards`]); re-run with the same
-    /// checkpoint path to continue.
-    Paused {
-        /// Shards completed so far (also the resume point).
-        completed_shards: usize,
-        /// Total shards in the campaign.
-        total_shards: usize,
-    },
+/// A serving campaign for the shared engine: phase-1 cells are
+/// (traffic × policy × lane) classes, `(t * policies + p) * lanes + l`;
+/// report cells are (traffic × policy) pairs, `t * policies + p`.
+struct ServeCampaign<'a> {
+    plan: &'a ServePlan,
+    /// Lanes phase 1 simulates (at least one, even for an empty fleet).
+    lanes: usize,
+}
+
+impl Campaign for ServeCampaign<'_> {
+    const NAME: &'static str = "serve";
+    type Trajectory = ServeTrajectory;
+    type Accum = ServeAccum;
+    type Report = ServeReport;
+
+    fn shape(&self) -> Shape<'_> {
+        let plan = self.plan;
+        let cells = plan.traffic.len() * plan.policies.len();
+        Shape {
+            plan,
+            config: &plan.config,
+            policies: &plan.policies,
+            suite: &plan.suite,
+            base_seed: plan.base_seed,
+            lanes: self.lanes,
+            trajectories: cells * self.lanes,
+            shards: plan.devices.div_ceil(plan.shard_devices),
+            cells,
+        }
+    }
+
+    fn simulate(
+        &self,
+        cell: usize,
+        lanes: &[Vec<Workload>],
+    ) -> Result<ServeTrajectory, SystemError> {
+        let plan = self.plan;
+        let (pair, lane) = (cell / self.lanes, cell % self.lanes);
+        let (t, p) = (pair / plan.policies.len(), pair % plan.policies.len());
+        simulate_serving(plan, &plan.policies[p], &plan.traffic[t], &lanes[lane], lane)
+    }
+
+    /// Weights one shard of devices into one (traffic × policy) cell's
+    /// partial aggregate. Class members are byte-identical, so the
+    /// "replay" is a weighted fold of the class trajectory (DESIGN.md §13):
+    /// pure arithmetic that records no metrics, leaving the phase-1
+    /// registry the campaign's whole registry (DESIGN.md §16).
+    fn shard_cell(
+        &self,
+        trajectories: &[ServeTrajectory],
+        shard: usize,
+        cell: usize,
+        _collect_metrics: bool,
+    ) -> (ServeAccum, Registry) {
+        let (plan, lanes) = (self.plan, self.lanes);
+        let start = shard * plan.shard_devices;
+        let end = ((shard + 1) * plan.shard_devices).min(plan.devices);
+        let mut members = vec![0u64; lanes];
+        for device in start..end {
+            members[device % lanes] += 1;
+        }
+        let mut accum = ServeAccum::default();
+        for (lane, &count) in members.iter().enumerate() {
+            if count > 0 {
+                accum.observe_class(&trajectories[cell * lanes + lane], count);
+            }
+        }
+        (accum, Registry::new())
+    }
+
+    fn merge(accum: &mut ServeAccum, partial: ServeAccum) {
+        accum.merge(&partial);
+    }
+
+    fn report(&self, trajectories: &[ServeTrajectory], accums: Vec<ServeAccum>) -> ServeReport {
+        let plan = self.plan;
+        let lanes = self.lanes;
+        let to_ms = |cycles: u64| cycles as f64 * 1_000.0 / plan.clock_hz as f64;
+        let pairs = plan.traffic.iter().flat_map(|t| plan.policies.iter().map(move |p| (t, p)));
+        let cells = pairs
+            .zip(accums)
+            .enumerate()
+            .map(|(cell, ((traffic, policy), accum))| {
+                let lane_slice = &trajectories[cell * lanes..(cell + 1) * lanes];
+                ServeCell {
+                    traffic: traffic.to_string(),
+                    policy: policy.to_string(),
+                    stats: accum.fleet.stats(plan.horizon_years(), plan.histogram_bins),
+                    p50_ms: to_ms(accum.latency.percentile_cycles(0.50)),
+                    p95_ms: to_ms(accum.latency.percentile_cycles(0.95)),
+                    p99_ms: to_ms(accum.latency.percentile_cycles(0.99)),
+                    served_cgra: accum.served_cgra,
+                    served_gpp: accum.served_gpp,
+                    shed: accum.shed,
+                    total_requests: accum.total_requests,
+                    shed_rate: if accum.total_requests == 0 {
+                        0.0
+                    } else {
+                        accum.shed as f64 / accum.total_requests as f64
+                    },
+                    replacements: accum.replacements,
+                    replacement_cost_cents: accum.replacements * plan.replacement.unit_cost_cents,
+                    simulated_days: lane_slice.iter().map(|t| t.simulated_days).sum(),
+                    simulated_services: lane_slice.iter().map(|t| t.simulated_services).sum(),
+                }
+            })
+            .collect();
+        ServeReport {
+            base_seed: plan.base_seed,
+            rows: plan.config.fabric.rows,
+            cols: plan.config.fabric.cols,
+            suite: plan.suite.name.clone(),
+            devices: plan.devices,
+            lanes,
+            horizon_days: plan.horizon_days,
+            pattern_days: plan.pattern_days,
+            clock_hz: plan.clock_hz,
+            years_per_day: plan.years_per_day,
+            horizon_years: plan.horizon_years(),
+            cells,
+        }
+    }
 }
 
 /// Runs every (traffic × policy × device) cell of `plan` with
-/// checkpoint/resume and early-stop control, sharded across `jobs`
-/// workers (`0` = all cores, `1` = sequential). Like
+/// checkpoint/resume and early-stop control on the shared campaign engine
+/// ([`crate::campaign`]), sharded across `jobs` workers (`0` = all cores,
+/// `1` = sequential). Like
 /// [`run_fleet_campaign`](crate::fleet::run_fleet_campaign), the report
 /// is **byte-identical for every worker count, every shard split, and
 /// every kill/resume point**: trajectories are deterministic per class,
@@ -1392,22 +1362,22 @@ pub enum ServeStatus {
 /// # Errors
 ///
 /// A movement policy on a movement-less configuration is rejected before
-/// anything runs; otherwise the error of the lowest-indexed failing cell
-/// is returned. ([`SystemError::AllocationExhausted`] is *not* an error
-/// here — it is a device death, part of the result.)
+/// anything runs; a checkpoint that cannot be saved or resumed is a
+/// [`SystemError::Checkpoint`]; otherwise the error of the lowest-indexed
+/// failing cell is returned. ([`SystemError::AllocationExhausted`] is
+/// *not* an error here — it is a device death, part of the result.)
 ///
 /// # Panics
 ///
 /// Panics on plan-construction bugs — an empty traffic axis, an invalid
 /// [`TrafficSpec`], a zero `horizon_days`/`pattern_days`/`clock_hz`/
 /// `shard_devices`, a non-positive `years_per_day`, a refurbished
-/// `age_pct` outside `0..100` — and on checkpoint IO failures or a
-/// checkpoint that does not match the plan.
+/// `age_pct` outside `0..100`.
 pub fn run_serving_campaign(
     plan: &ServePlan,
     jobs: usize,
     options: &CampaignOptions,
-) -> Result<ServeStatus, SystemError> {
+) -> Result<CampaignStatus<ServeReport>, SystemError> {
     assert!(!plan.traffic.is_empty(), "a serving campaign needs at least one traffic profile");
     for spec in &plan.traffic {
         spec.validate().unwrap_or_else(|e| panic!("invalid traffic spec {spec}: {e}"));
@@ -1428,169 +1398,7 @@ pub fn run_serving_campaign(
     if let ReplacementPolicy::Refurbished { age_pct } = plan.replacement.policy {
         assert!(age_pct < 100, "refurbished age_pct must be below 100, got {age_pct}");
     }
-    for spec in &plan.policies {
-        if spec.needs_movement() && !plan.config.movement_hardware {
-            return Err(BuildError::MovementHardwareAbsent { policy: spec.to_string() }.into());
-        }
-    }
-    let pool = if jobs == 0 { ThreadPool::with_default_workers() } else { ThreadPool::new(jobs) };
-    let lanes = plan.effective_lanes().max(1);
-    let cell_count = plan.traffic.len() * plan.policies.len();
-    let total_shards = plan.devices.div_ceil(plan.shard_devices);
-
-    // Phase 1 (or resume): one reference serving simulation per
-    // (traffic × policy × lane) class.
-    let resumed = options.checkpoint.as_deref().and_then(|path| load_serve_checkpoint(path, plan));
-    let (trajectories, mut completed, mut accums, metrics) = match resumed {
-        Some(ck) => (ck.trajectories, ck.completed_shards.len(), ck.accums, ck.metrics),
-        None => {
-            let _phase = span!(Level::INFO, "serve.trajectories").entered();
-            let lane_workloads: Vec<Vec<Workload>> = pool
-                .par_map((0..lanes).collect(), |_, lane| {
-                    plan.suite.workloads(derive_cell_seed(plan.base_seed, lane as u64))
-                });
-            let cells: Vec<(usize, usize, usize)> = (0..plan.traffic.len())
-                .flat_map(|t| {
-                    (0..plan.policies.len()).flat_map(move |p| (0..lanes).map(move |l| (t, p, l)))
-                })
-                .collect();
-            let collect_metrics = options.collect_metrics;
-            let outcomes: Vec<(Result<ServeTrajectory, SystemError>, Registry)> =
-                pool.par_map(cells, |_, (t, p, l)| {
-                    let work = || {
-                        simulate_serving(
-                            plan,
-                            &plan.policies[p],
-                            &plan.traffic[t],
-                            &lane_workloads[l],
-                            l,
-                        )
-                    };
-                    if collect_metrics {
-                        obs::collect(work)
-                    } else {
-                        (work(), Registry::new())
-                    }
-                });
-            let mut trajectories = Vec::with_capacity(outcomes.len());
-            let mut metrics = Registry::new();
-            for (outcome, registry) in outcomes {
-                trajectories.push(outcome?);
-                metrics.merge(&registry);
-            }
-            let fresh = (trajectories, 0, vec![ServeAccum::new(); cell_count], metrics);
-            if let Some(path) = options.checkpoint.as_deref() {
-                let _save = span!(Level::INFO, "serve.checkpoint").entered();
-                save_serve_checkpoint(
-                    path,
-                    &ServeCheckpoint {
-                        magic: SERVE_CHECKPOINT_MAGIC.to_string(),
-                        version: SERVE_CHECKPOINT_VERSION,
-                        fingerprint: serve_fingerprint(plan),
-                        trajectories: fresh.0.clone(),
-                        completed_shards: Vec::new(),
-                        accums: fresh.2.clone(),
-                        metrics: fresh.3.clone(),
-                    },
-                );
-            }
-            fresh
-        }
-    };
-
-    // Phase 2: stream device shards through the weighted class fold,
-    // merging each wave's partials in (shard, cell) order.
-    let wave_shards = if options.checkpoint.is_some() {
-        options.checkpoint_every_shards.max(1)
-    } else {
-        usize::MAX
-    };
-    while completed < total_shards {
-        if options.stop_after_shards.is_some_and(|stop| completed >= stop) {
-            return Ok(ServeStatus::Paused { completed_shards: completed, total_shards });
-        }
-        let mut wave_end = completed.saturating_add(wave_shards).min(total_shards);
-        if let Some(stop) = options.stop_after_shards {
-            wave_end = wave_end.min(stop.max(completed + 1));
-        }
-        let _wave = span!(Level::INFO, "serve.shards").entered();
-        let cells: Vec<(usize, usize)> =
-            (completed..wave_end).flat_map(|s| (0..cell_count).map(move |c| (s, c))).collect();
-        let results: Vec<ServeAccum> =
-            pool.par_map(cells.clone(), |_, (s, c)| run_serve_shard(plan, &trajectories, c, s));
-        for (partial, (_, c)) in results.into_iter().zip(cells) {
-            accums[c].merge(&partial);
-        }
-        completed = wave_end;
-        if let Some(path) = options.checkpoint.as_deref() {
-            let _save = span!(Level::INFO, "serve.checkpoint").entered();
-            save_serve_checkpoint(
-                path,
-                &ServeCheckpoint {
-                    magic: SERVE_CHECKPOINT_MAGIC.to_string(),
-                    version: SERVE_CHECKPOINT_VERSION,
-                    fingerprint: serve_fingerprint(plan),
-                    trajectories: trajectories.clone(),
-                    completed_shards: (0..completed).collect(),
-                    accums: accums.clone(),
-                    metrics: metrics.clone(),
-                },
-            );
-        }
-    }
-
-    let to_ms = |cycles: u64| cycles as f64 * 1_000.0 / plan.clock_hz as f64;
-    let mut cells = Vec::with_capacity(cell_count);
-    for (t, traffic) in plan.traffic.iter().enumerate() {
-        for (p, policy) in plan.policies.iter().enumerate() {
-            let cell = t * plan.policies.len() + p;
-            let accum = &accums[cell];
-            let lane_slice = &trajectories[cell * lanes..(cell + 1) * lanes];
-            cells.push(ServeCell {
-                traffic: traffic.to_string(),
-                policy: policy.to_string(),
-                stats: accum.fleet.stats(plan.horizon_years(), plan.histogram_bins),
-                p50_ms: to_ms(accum.latency.percentile_cycles(0.50)),
-                p95_ms: to_ms(accum.latency.percentile_cycles(0.95)),
-                p99_ms: to_ms(accum.latency.percentile_cycles(0.99)),
-                served_cgra: accum.served_cgra,
-                served_gpp: accum.served_gpp,
-                shed: accum.shed,
-                total_requests: accum.total_requests,
-                shed_rate: if accum.total_requests == 0 {
-                    0.0
-                } else {
-                    accum.shed as f64 / accum.total_requests as f64
-                },
-                replacements: accum.replacements,
-                replacement_cost_cents: accum.replacements * plan.replacement.unit_cost_cents,
-                simulated_days: lane_slice.iter().map(|t| t.simulated_days).sum(),
-                simulated_services: lane_slice.iter().map(|t| t.simulated_services).sum(),
-            });
-        }
-    }
-
-    // Like the fleet campaign, metrics reach the global accumulator only
-    // on completion, so a stop/resume pair folds exactly once
-    // (DESIGN.md §16).
-    if options.collect_metrics {
-        obs::global::fold(&metrics);
-    }
-
-    Ok(ServeStatus::Complete(Box::new(ServeReport {
-        base_seed: plan.base_seed,
-        rows: plan.config.fabric.rows,
-        cols: plan.config.fabric.cols,
-        suite: plan.suite.name.clone(),
-        devices: plan.devices,
-        lanes,
-        horizon_days: plan.horizon_days,
-        pattern_days: plan.pattern_days,
-        clock_hz: plan.clock_hz,
-        years_per_day: plan.years_per_day,
-        horizon_years: plan.horizon_years(),
-        cells,
-    })))
+    campaign::run(&ServeCampaign { plan, lanes: plan.effective_lanes().max(1) }, jobs, options)
 }
 
 /// Runs every (traffic × policy × device) cell of `plan`, sharded across
@@ -1607,8 +1415,8 @@ pub fn run_serving_campaign(
 /// See [`run_serving_campaign`].
 pub fn run_serving(plan: &ServePlan, jobs: usize) -> Result<ServeReport, SystemError> {
     match run_serving_campaign(plan, jobs, &CampaignOptions::default())? {
-        ServeStatus::Complete(report) => Ok(*report),
-        ServeStatus::Paused { .. } => unreachable!("no stop was requested"),
+        CampaignStatus::Complete(report) => Ok(*report),
+        CampaignStatus::Paused { .. } => unreachable!("no stop was requested"),
     }
 }
 
@@ -1894,12 +1702,10 @@ mod tests {
     #[test]
     fn serve_fingerprint_tracks_every_plan_knob() {
         let plan = mini_plan();
-        assert_eq!(serve_fingerprint(&plan), serve_fingerprint(&plan.clone()));
-        assert_ne!(serve_fingerprint(&plan), serve_fingerprint(&plan.clone().devices(4)));
-        assert_ne!(serve_fingerprint(&plan), serve_fingerprint(&plan.clone().clock_hz(999)));
-        assert_ne!(
-            serve_fingerprint(&plan),
-            serve_fingerprint(&plan.clone().traffic(TrafficSpec::heavy()))
-        );
+        let fingerprint = |plan: &ServePlan| campaign::fingerprint(plan);
+        assert_eq!(fingerprint(&plan), fingerprint(&plan.clone()));
+        assert_ne!(fingerprint(&plan), fingerprint(&plan.clone().devices(4)));
+        assert_ne!(fingerprint(&plan), fingerprint(&plan.clone().clock_hz(999)));
+        assert_ne!(fingerprint(&plan), fingerprint(&plan.clone().traffic(TrafficSpec::heavy())));
     }
 }

@@ -2,14 +2,21 @@
 //! (DESIGN.md §12): a campaign checkpointed and stopped at **any** shard
 //! boundary, then reloaded — with any worker count — must produce the
 //! byte-identical report (and therefore byte-identical
-//! `results/survival.json`) a straight run produces, and a checkpoint must
-//! refuse to resume under a different plan.
+//! `results/survival.json`) a straight run produces, and a checkpoint that
+//! is damaged, foreign, or written under a different plan must fail with a
+//! typed error instead of resuming.
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use cgra::Fabric;
-use transrec::fleet::{run_fleet, run_fleet_campaign, CampaignOptions, CampaignStatus, FleetPlan};
+use proptest::prelude::*;
+use transrec::fleet::{
+    run_fleet, run_fleet_campaign, CampaignOptions, CampaignStatus, FleetPlan, FleetReport,
+};
 use transrec::sweep::SuiteSpec;
+use transrec::traffic::{run_serving_campaign, ServePlan};
+use transrec::{CheckpointErrorKind, SystemError};
 use uaware::PolicySpec;
 
 /// The shared small-but-real campaign: 10 devices over 2 workload lanes,
@@ -36,7 +43,7 @@ fn scratch(name: &str) -> PathBuf {
     path
 }
 
-fn report_bytes(status: CampaignStatus) -> String {
+fn report_bytes(status: CampaignStatus<FleetReport>) -> String {
     match status {
         CampaignStatus::Complete(report) => serde_json::to_string(&*report).unwrap(),
         CampaignStatus::Paused { completed_shards, total_shards } => {
@@ -140,7 +147,6 @@ fn shard_split_and_worker_matrix_is_byte_identical() {
 }
 
 #[test]
-#[should_panic(expected = "belongs to a different plan")]
 fn checkpoints_refuse_to_resume_a_different_plan() {
     let checkpoint = scratch("wrong-plan");
     let options = CampaignOptions {
@@ -151,7 +157,95 @@ fn checkpoints_refuse_to_resume_a_different_plan() {
     };
     let paused = run_fleet_campaign(&plan(), 1, &options).expect("partial run");
     assert!(matches!(paused, CampaignStatus::Paused { .. }));
-    // Same path, different fleet: the fingerprint must reject it loudly.
+    // Same path, different fleet: the fingerprint must reject it.
     let other = plan().devices(12);
-    let _ = run_fleet_campaign(&other, 1, &options);
+    let result = run_fleet_campaign(&other, 1, &options);
+    let _ = std::fs::remove_file(&checkpoint);
+    assert!(
+        matches!(
+            &result,
+            Err(SystemError::Checkpoint { kind: CheckpointErrorKind::PlanMismatch, .. })
+        ),
+        "expected a plan mismatch, got {result:?}"
+    );
+}
+
+/// A real checkpoint of [`plan`] paused after 2 of its 5 shards, plus the
+/// straight run's report bytes — built once, shared by every hostile case.
+fn paused_checkpoint() -> &'static (Vec<u8>, String) {
+    static FIXTURE: OnceLock<(Vec<u8>, String)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let path = scratch("hostile-source");
+        let options = CampaignOptions {
+            checkpoint: Some(path.clone()),
+            checkpoint_every_shards: 1,
+            stop_after_shards: Some(2),
+            ..CampaignOptions::default()
+        };
+        let paused = run_fleet_campaign(&plan(), 1, &options).expect("partial run");
+        assert!(matches!(paused, CampaignStatus::Paused { .. }));
+        let bytes = std::fs::read(&path).expect("checkpoint written");
+        let _ = std::fs::remove_file(&path);
+        let straight = run_fleet(&plan(), 1).expect("straight run");
+        (bytes, serde_json::to_string(&straight).unwrap())
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A damaged checkpoint — truncated at any offset, or with one bit of
+    /// any byte flipped — either fails with a typed checkpoint error or
+    /// resumes into the straight run's exact report: never a panic, never
+    /// a different report.
+    #[test]
+    fn damaged_checkpoints_fail_typed_or_resume_exactly(
+        truncate in any::<bool>(),
+        offset in any::<u64>(),
+        bit in 0u32..8,
+    ) {
+        let (pristine, reference) = paused_checkpoint();
+        let mut bytes = pristine.clone();
+        let at = (offset % bytes.len() as u64) as usize;
+        if truncate {
+            bytes.truncate(at);
+        } else {
+            bytes[at] ^= 1 << bit;
+        }
+        let path = scratch("hostile");
+        std::fs::write(&path, &bytes).expect("write damaged checkpoint");
+        let options =
+            CampaignOptions { checkpoint: Some(path.clone()), ..CampaignOptions::default() };
+        let result = run_fleet_campaign(&plan(), 1, &options);
+        let _ = std::fs::remove_file(&path);
+        match result {
+            Err(SystemError::Checkpoint { .. }) => {}
+            Ok(status) => prop_assert_eq!(&report_bytes(status), reference),
+            Err(e) => prop_assert!(false, "untyped failure: {e}"),
+        }
+    }
+}
+
+#[test]
+fn serving_campaigns_reject_a_fleet_checkpoint_as_foreign() {
+    let (fleet_checkpoint, _) = paused_checkpoint();
+    let path = scratch("foreign");
+    std::fs::write(&path, fleet_checkpoint).expect("write fleet checkpoint");
+    let serving = ServePlan::new(0xDAC2020, Fabric::be())
+        .policy(PolicySpec::Baseline)
+        .suite(SuiteSpec::subset("crc", vec![1]))
+        .devices(2)
+        .lanes(1)
+        .clock_hz(1_000)
+        .horizon_days(1);
+    let options = CampaignOptions { checkpoint: Some(path.clone()), ..CampaignOptions::default() };
+    let result = run_serving_campaign(&serving, 1, &options);
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        matches!(
+            &result,
+            Err(SystemError::Checkpoint { kind: CheckpointErrorKind::Foreign { .. }, .. })
+        ),
+        "expected a foreign-checkpoint error, got {result:?}"
+    );
 }

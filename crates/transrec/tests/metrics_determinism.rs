@@ -11,7 +11,7 @@ use cgra::Fabric;
 use transrec::fleet::{run_fleet_campaign, CampaignOptions, CampaignStatus, FleetPlan};
 use transrec::sweep::{run_sweep, run_sweep_observed, SuiteSpec, SweepPlan};
 use transrec::telemetry::{EventCounts, ProbeSpec};
-use transrec::traffic::{run_serving_campaign, ServePlan, ServeStatus, TrafficSpec};
+use transrec::traffic::{run_serving_campaign, ServePlan, TrafficSpec};
 use uaware::PolicySpec;
 
 /// A 2-policy × 2-workload × 2-fabric plan, mirroring the sweep
@@ -214,7 +214,7 @@ fn serve_campaign_metrics_survive_jobs_shards_and_resume() {
 
     let straight = scratch("serve-straight");
     let status = run_serving_campaign(&serve_plan(), 1, &options(&straight, None));
-    assert!(matches!(status, Ok(ServeStatus::Complete(_))));
+    assert!(matches!(status, Ok(CampaignStatus::Complete(_))));
     let reference = checkpoint_metrics(&straight);
     assert_ne!(reference, "{}", "serving metrics must not be empty");
     assert!(reference.contains("traffic.requests.arrived"));
@@ -222,14 +222,14 @@ fn serve_campaign_metrics_survive_jobs_shards_and_resume() {
 
     let split = scratch("serve-split");
     let status = run_serving_campaign(&serve_plan().shard_devices(3), 4, &options(&split, None));
-    assert!(matches!(status, Ok(ServeStatus::Complete(_))));
+    assert!(matches!(status, Ok(CampaignStatus::Complete(_))));
     assert_eq!(checkpoint_metrics(&split), reference, "shard split changed the registry");
 
     let resumed = scratch("serve-resume");
     let status = run_serving_campaign(&serve_plan(), 2, &options(&resumed, Some(1)));
-    assert!(matches!(status, Ok(ServeStatus::Paused { .. })));
+    assert!(matches!(status, Ok(CampaignStatus::Paused { .. })));
     let status = run_serving_campaign(&serve_plan(), 3, &options(&resumed, None));
-    assert!(matches!(status, Ok(ServeStatus::Complete(_))));
+    assert!(matches!(status, Ok(CampaignStatus::Complete(_))));
     assert_eq!(checkpoint_metrics(&resumed), reference, "kill/resume changed the registry");
 
     for path in [straight, split, resumed] {

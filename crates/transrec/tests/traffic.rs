@@ -9,11 +9,10 @@ use std::path::PathBuf;
 
 use cgra::Fabric;
 use proptest::prelude::*;
-use transrec::fleet::CampaignOptions;
+use transrec::fleet::{CampaignOptions, CampaignStatus};
 use transrec::sweep::SuiteSpec;
-use transrec::traffic::{
-    day_traffic, run_serving, run_serving_campaign, ServePlan, ServeStatus, TrafficSpec,
-};
+use transrec::traffic::{day_traffic, run_serving, run_serving_campaign, ServePlan, TrafficSpec};
+use transrec::{CheckpointErrorKind, SystemError};
 use uaware::PolicySpec;
 
 /// The shared tiny-but-real serving campaign: 5 devices over 2 lanes,
@@ -115,10 +114,10 @@ proptest! {
         )
         .expect("serving runs");
         match paused {
-            ServeStatus::Paused { completed_shards, total_shards } => {
+            CampaignStatus::Paused { completed_shards, total_shards } => {
                 prop_assert_eq!(completed_shards, stop.min(total_shards));
             }
-            ServeStatus::Complete(_) => prop_assert!(false, "stop_after must pause"),
+            CampaignStatus::Complete(_) => prop_assert!(false, "stop_after must pause"),
         }
         let resumed = run_serving_campaign(
             &plan(),
@@ -131,7 +130,7 @@ proptest! {
             },
         )
         .expect("serving runs");
-        let ServeStatus::Complete(report) = resumed else {
+        let CampaignStatus::Complete(report) = resumed else {
             std::fs::remove_file(&path).ok();
             panic!("resume without a stop must complete");
         };
@@ -146,7 +145,6 @@ proptest! {
 /// A checkpoint written under one plan must refuse to resume under a
 /// materially different one (the fingerprint covers every plan knob).
 #[test]
-#[should_panic(expected = "different plan")]
 fn checkpoint_rejects_a_different_plan() {
     let path = scratch("fingerprint");
     let options = CampaignOptions {
@@ -160,5 +158,11 @@ fn checkpoint_rejects_a_different_plan() {
     let other = plan().traffic(TrafficSpec::Steady { per_hour: 41 });
     let result = run_serving_campaign(&other, 1, &options);
     std::fs::remove_file(&path).ok();
-    drop(result);
+    assert!(
+        matches!(
+            &result,
+            Err(SystemError::Checkpoint { kind: CheckpointErrorKind::PlanMismatch, .. })
+        ),
+        "expected a plan mismatch, got {result:?}"
+    );
 }
