@@ -657,7 +657,7 @@ pub fn table2(_ctx: &ExperimentContext) -> Table2Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use transrec::run_suite;
+    use transrec::{run_suite_with_options, SuiteOptions};
 
     /// Sequential single-cell helper for reduced-suite tests (the figure
     /// runners themselves go through [`sweep_on`]).
@@ -667,7 +667,9 @@ mod tests {
         workloads: &[Workload],
         spec: &PolicySpec,
     ) -> SuiteRun {
-        let run = run_suite(fabric, workloads, &ctx.energy, spec).expect("suite runs");
+        let config = SystemConfig::new(fabric);
+        let run = run_suite_with_options(&config, workloads, &ctx.energy, SuiteOptions::new(*spec))
+            .expect("suite runs");
         assert!(
             run.all_verified(),
             "an oracle failed on {}x{} under {spec}",

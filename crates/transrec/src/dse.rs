@@ -4,7 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cgra::{Fabric, FabricSpec};
+use cgra::FabricSpec;
 use mibench::Workload;
 use uaware::{PolicySpec, UtilizationTracker};
 
@@ -133,7 +133,7 @@ fn geo_mean(values: impl Iterator<Item = f64>) -> f64 {
 /// The policy-and-telemetry half of a suite evaluation, as one value —
 /// what varies between cells of a sweep while the [`SystemConfig`] and
 /// workloads stay fixed. [`run_suite_with_options`] is the single suite
-/// entrypoint; [`run_suite`] is a thin positional wrapper over it.
+/// entrypoint.
 #[derive(Copy, Clone, Debug)]
 pub struct SuiteOptions<'a> {
     /// The allocation policy (one fresh instance per benchmark).
@@ -163,7 +163,8 @@ impl SuiteOptions<'_> {
 /// # Errors
 ///
 /// Propagates the first [`SystemError`]; rejects a movement spec on a
-/// movement-less configuration before anything runs.
+/// movement-less configuration before anything runs, and a zero-epoch
+/// probe spec as [`BuildError::InvalidProbe`](crate::BuildError::InvalidProbe).
 ///
 /// # Panics
 ///
@@ -214,7 +215,7 @@ pub fn run_suite_with_options(
     for (w, &gpp_cycles) in workloads.iter().zip(gpp_cycles) {
         let mut system = System::new(base_config.clone(), spec.build());
         for probe in options.probes {
-            system.attach_observer(probe.build());
+            system.attach_observer(probe.build()?);
         }
         system.run(w.program())?;
         let verified = w.verify(system.cpu()).is_ok();
@@ -239,36 +240,6 @@ pub fn run_suite_with_options(
         benchmarks,
         tracker: merged,
     })
-}
-
-/// Runs the full suite on `fabric` with the policy described by `spec` —
-/// the historical positional wrapper over [`run_suite_with_options`].
-///
-/// # Errors
-///
-/// Propagates the first [`SystemError`]; rejects a movement spec on a
-/// movement-less configuration before anything runs.
-///
-/// # Examples
-///
-/// ```
-/// use cgra::Fabric;
-/// use transrec::{run_suite, EnergyParams};
-/// use uaware::PolicySpec;
-///
-/// let workloads = &mibench::suite(7)[..1];
-/// let spec: PolicySpec = "rotation:snake@per-load".parse().unwrap();
-/// let run = run_suite(Fabric::be(), workloads, &EnergyParams::default(), &spec).unwrap();
-/// assert!(run.all_verified());
-/// assert_eq!(run.policy, "rotation:snake@per-load");
-/// ```
-pub fn run_suite(
-    fabric: Fabric,
-    workloads: &[Workload],
-    energy: &EnergyParams,
-    spec: &PolicySpec,
-) -> Result<SuiteRun, SystemError> {
-    run_suite_with_options(&SystemConfig::new(fabric), workloads, energy, SuiteOptions::new(*spec))
 }
 
 /// The stand-alone GPP reference cycles for `workloads` under `config`'s

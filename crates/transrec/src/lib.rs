@@ -72,8 +72,7 @@ pub mod traffic;
 
 pub use campaign::{CampaignOptions, CampaignStatus, CheckpointErrorKind};
 pub use dse::{
-    dse_grid, gpp_reference, run_suite, run_suite_with_options, BenchmarkRun, SuiteOptions,
-    SuiteRun,
+    dse_grid, gpp_reference, run_suite_with_options, BenchmarkRun, SuiteOptions, SuiteRun,
 };
 pub use energy::{gpp_only_energy, system_energy, EnergyBreakdown, EnergyParams};
 pub use fleet::{

@@ -14,8 +14,8 @@
 //! ([`Session::step`]), by cycle budget ([`Session::run_for`]) or to
 //! completion ([`Session::finish`]); [`System::run`] is the run-to-exit
 //! convenience wrapper. Every decision is published to the attached
-//! [`Observer`]s as [`SimEvent`]s — the built-in counters are themselves
-//! one observer over that stream ([`telemetry::StatsObserver`](crate::telemetry::StatsObserver)).
+//! [`Observer`]s as [`SimEvent`]s, after the system has counted it once
+//! into its [`SystemStats`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -35,9 +35,7 @@ use serde::{Deserialize, Serialize};
 use uaware::{AllocRequest, AllocationPolicy, PolicySpec, UtilizationTracker};
 
 use crate::campaign::CheckpointErrorKind;
-use crate::telemetry::{
-    EventCtx, Observer, OffloadOverheads, ProbeReport, ProbeSpec, SimEvent, StatsObserver,
-};
+use crate::telemetry::{EventCtx, Observer, OffloadOverheads, ProbeReport, ProbeSpec, SimEvent};
 
 /// Static system parameters.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -144,6 +142,72 @@ impl SystemStats {
     pub fn total_instrs(&self) -> u64 {
         self.gpp_retired + self.offloaded_instrs
     }
+
+    /// Counts one event: the only place a [`SimEvent`] is counted
+    /// (DESIGN.md §10). Each arm updates these counters and mirrors the
+    /// event into the active tracing dispatch as its `system.*` registry
+    /// counter (DESIGN.md §16; one relaxed atomic load when no subscriber
+    /// is installed).
+    ///
+    /// One counter is derived rather than carried by a dedicated event:
+    /// every scheduling decision begins with exactly one configuration-cache
+    /// lookup and ends in either an offload or a GPP step, so
+    /// `cache_lookups` advances on [`SimEvent::OffloadStarted`] and
+    /// [`SimEvent::GppRetired`]. The traffic `Request*` events are metered
+    /// at their decision sites in the serving queue instead (they are only
+    /// *constructed* there when probes watch), so they count nothing here.
+    pub(crate) fn record(&mut self, event: &SimEvent) {
+        let counter = match *event {
+            SimEvent::GppRetired { cycles, .. } => {
+                self.gpp_cycles += cycles;
+                self.gpp_retired += 1;
+                self.cache_lookups += 1;
+                "system.gpp_retired"
+            }
+            SimEvent::OffloadStarted { .. } => {
+                self.cache_lookups += 1;
+                "system.offloads"
+            }
+            SimEvent::ConfigLoaded { .. } => "system.config_loads",
+            SimEvent::Rotated { .. } => "system.rotations",
+            SimEvent::OffloadCompleted {
+                instr_count,
+                exec_cycles,
+                overheads,
+                loads,
+                stores,
+                active_fus,
+                cols_used,
+                ..
+            } => {
+                self.cgra_exec_cycles += exec_cycles;
+                self.reconfig_cycles += overheads.reconfig_extra;
+                self.rotate_cycles += overheads.rotate;
+                self.transfer_cycles += overheads.input + overheads.out_drain;
+                self.offloads += 1;
+                self.offloaded_instrs += instr_count as u64;
+                self.cgra_loads += loads;
+                self.cgra_stores += stores;
+                self.cgra_active_fu_slots += active_fus;
+                self.cgra_columns += cols_used as u64;
+                "system.offloads_completed"
+            }
+            SimEvent::OffloadSkipped { .. } => {
+                self.offloads_skipped += 1;
+                "system.offloads_skipped"
+            }
+            SimEvent::AllocationStarved { .. } => {
+                self.offloads_starved += 1;
+                "system.offloads_starved"
+            }
+            SimEvent::CacheInserted { .. } => "system.cache_inserted",
+            SimEvent::CacheEvicted { .. } => "system.cache_evicted",
+            SimEvent::RequestArrived { .. }
+            | SimEvent::RequestServed { .. }
+            | SimEvent::RequestShed { .. } => return,
+        };
+        tracing::event!(tracing::Level::TRACE, counter, "add" = 1);
+    }
 }
 
 /// A [`SystemBuilder`] configuration that cannot produce a runnable system.
@@ -159,6 +223,13 @@ pub enum BuildError {
     /// The fabric itself is invalid — empty, or too narrow for its memory
     /// latency (the former [`Fabric::new`] panics, typed; DESIGN.md §14).
     Fabric(FabricError),
+    /// A probe spec cannot instantiate its observer: a zero sampling
+    /// epoch, which the string grammar rejects but a literal or
+    /// deserialized [`ProbeSpec`] can carry.
+    InvalidProbe {
+        /// The offending probe spec (canonical string form).
+        probe: String,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -170,6 +241,9 @@ impl fmt::Display for BuildError {
                  but movement_hardware is false"
             ),
             BuildError::Fabric(e) => write!(f, "invalid fabric: {e}"),
+            BuildError::InvalidProbe { probe } => {
+                write!(f, "probe `{probe}` needs a positive sampling epoch")
+            }
         }
     }
 }
@@ -308,8 +382,8 @@ pub struct System {
     /// still valid and skips the transfer).
     gpp_dirty: bool,
     gpp_estimates: HashMap<u32, u64>,
-    /// The built-in stats fold over the event stream (DESIGN.md §10).
-    stats: StatsObserver,
+    /// Every emitted event, counted once (DESIGN.md §10).
+    stats: SystemStats,
     /// Attached telemetry probes; each sees the identical stream.
     probes: Vec<Box<dyn Observer>>,
     /// Ensures `on_finish` fires exactly once per session.
@@ -321,7 +395,7 @@ impl fmt::Debug for System {
         f.debug_struct("System")
             .field("fabric", &self.config.fabric)
             .field("policy", &self.policy.name())
-            .field("stats", self.stats.stats())
+            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -449,19 +523,19 @@ impl SystemBuilder {
     /// movement extensions but `movement_hardware(false)` was requested;
     /// [`BuildError::Fabric`] when the fabric value itself is invalid
     /// (hand-built or deserialized — [`Fabric::new`] rejects these at
-    /// construction, but `Fabric` fields are public).
+    /// construction, but `Fabric` fields are public);
+    /// [`BuildError::InvalidProbe`] when a probe spec has a zero epoch.
     pub fn build(self) -> Result<System, BuildError> {
         self.config.fabric.validate()?;
         if self.spec.needs_movement() && !self.config.movement_hardware {
             return Err(BuildError::MovementHardwareAbsent { policy: self.spec.to_string() });
         }
+        let probes = self.probes.iter().map(ProbeSpec::build).collect::<Result<Vec<_>, _>>()?;
         let mut system = System::new(self.config, self.spec.build());
         if self.faults.is_some() {
             system.set_fault_mask(self.faults);
         }
-        for probe in &self.probes {
-            system.attach_observer(probe.build());
-        }
+        system.probes = probes;
         Ok(system)
     }
 }
@@ -499,7 +573,7 @@ impl System {
             resident: None,
             gpp_dirty: true,
             gpp_estimates: HashMap::new(),
-            stats: StatsObserver::new(),
+            stats: SystemStats::default(),
             probes: Vec::new(),
             finish_notified: false,
             config,
@@ -524,10 +598,10 @@ impl System {
         &self.cpu
     }
 
-    /// Run statistics so far — the fold of the built-in
-    /// [`StatsObserver`] over the event stream.
+    /// Run statistics so far: every event the system emitted, counted once
+    /// (DESIGN.md §10). They accumulate across sessions.
     pub fn stats(&self) -> &SystemStats {
-        self.stats.stats()
+        &self.stats
     }
 
     /// The utilization tracker (per-FU stress observations).
@@ -592,12 +666,11 @@ impl System {
             .sum::<u64>()
     }
 
-    /// Publishes one event to the built-in stats fold and every attached
-    /// probe (identical stream, attachment order).
+    /// Counts one event, then publishes it to every attached probe
+    /// (identical stream, attachment order).
     fn emit(&mut self, event: SimEvent) {
-        crate::telemetry::emit_metric(&event);
+        self.stats.record(&event);
         let ctx = EventCtx { cycle: self.cpu.cycles(), tracker: &self.tracker };
-        self.stats.on_event(&ctx, &event);
         for probe in &mut self.probes {
             probe.on_event(&ctx, &event);
         }
@@ -611,7 +684,6 @@ impl System {
         }
         self.finish_notified = true;
         let ctx = EventCtx { cycle: self.cpu.cycles(), tracker: &self.tracker };
-        self.stats.on_finish(&ctx);
         for probe in &mut self.probes {
             probe.on_finish(&ctx);
         }

@@ -3,11 +3,13 @@
 //! The paper's core evidence is *temporal* — Fig. 8 plots worst-FU delay
 //! over time, Table I projects lifetime from stress accumulation — so the
 //! simulator's execution loop publishes everything it does as a stream of
-//! [`SimEvent`]s that [`Observer`]s consume. The built-in counters
-//! ([`SystemStats`]) are themselves just one observer over that stream
-//! ([`StatsObserver`]), so third parties can instrument a run without
-//! forking the loop: attach an observer and every scheduling decision,
-//! offload, rotation and cache movement arrives as data.
+//! [`SimEvent`]s. The system counts each event exactly once, in one fold
+//! that updates its [`SystemStats`](crate::SystemStats) and the matching
+//! `system.*` metrics-registry counter (DESIGN.md §16), and then hands the
+//! same event to every attached [`Observer`], so third parties can
+//! instrument a run without forking the loop: attach an observer and every
+//! scheduling decision, offload, rotation and cache movement arrives as
+//! data.
 //!
 //! Probes mirror the policy-as-data design (DESIGN.md §8): a [`ProbeSpec`]
 //! is a serde-able value with a compact string form (`util-trace@every-50000`)
@@ -58,7 +60,7 @@ use cgra::Offset;
 use serde::{Deserialize, Serialize};
 use uaware::{ParseSpecError, UtilizationGrid, UtilizationTracker};
 
-use crate::system::SystemStats;
+use crate::system::BuildError;
 
 /// Default epoch length (system cycles) for [`ProbeSpec::UtilTrace`]:
 /// fine enough that every mibench workload (3.6k–93k cycles on BE)
@@ -220,40 +222,6 @@ pub enum SimEvent {
     },
 }
 
-/// Mirrors one [`SimEvent`] into the active tracing dispatch as a named
-/// counter event, so a [`MetricsCollector`](obs::MetricsCollector) sees
-/// exactly the stream [`StatsObserver`] folds (DESIGN.md §16). Costs one
-/// relaxed atomic load when no subscriber is installed. The traffic
-/// `Request*` events are metered at their decision sites in the serving
-/// queue instead (they are only *constructed* here when probes watch), so
-/// they deliberately fall through.
-pub(crate) fn emit_metric(event: &SimEvent) {
-    if !tracing::dispatch_active() {
-        return;
-    }
-    use tracing::{event, Level};
-    match event {
-        SimEvent::GppRetired { .. } => event!(Level::TRACE, "system.gpp_retired", "add" = 1),
-        SimEvent::OffloadStarted { .. } => event!(Level::TRACE, "system.offloads", "add" = 1),
-        SimEvent::ConfigLoaded { .. } => event!(Level::TRACE, "system.config_loads", "add" = 1),
-        SimEvent::Rotated { .. } => event!(Level::TRACE, "system.rotations", "add" = 1),
-        SimEvent::OffloadCompleted { .. } => {
-            event!(Level::TRACE, "system.offloads_completed", "add" = 1)
-        }
-        SimEvent::OffloadSkipped { .. } => {
-            event!(Level::TRACE, "system.offloads_skipped", "add" = 1)
-        }
-        SimEvent::AllocationStarved { .. } => {
-            event!(Level::TRACE, "system.offloads_starved", "add" = 1)
-        }
-        SimEvent::CacheInserted { .. } => event!(Level::TRACE, "system.cache_inserted", "add" = 1),
-        SimEvent::CacheEvicted { .. } => event!(Level::TRACE, "system.cache_evicted", "add" = 1),
-        SimEvent::RequestArrived { .. }
-        | SimEvent::RequestServed { .. }
-        | SimEvent::RequestShed { .. } => {}
-    }
-}
-
 /// Context handed to observers with every hook call: where the run is
 /// (total system cycles so far) and the live per-FU stress observations.
 pub struct EventCtx<'a> {
@@ -290,84 +258,6 @@ pub trait Observer {
     /// into [`BenchmarkRun`](crate::BenchmarkRun)s by the suite runners.
     fn report(&self) -> Option<ProbeReport> {
         None
-    }
-}
-
-/// The built-in observer that folds the event stream into [`SystemStats`].
-///
-/// This is the *only* producer of the system's counters — `System` owns
-/// one and every attached probe sees the identical stream, so an
-/// externally attached second `StatsObserver` (probe spec `stats`) must
-/// reproduce the built-in counters struct-equal; the telemetry
-/// equivalence test pins that across the full mibench suite.
-///
-/// One counter is derived rather than carried by a dedicated event:
-/// every scheduling decision begins with exactly one configuration-cache
-/// lookup and ends in either an offload or a GPP step, so
-/// `cache_lookups` advances on [`SimEvent::OffloadStarted`] and
-/// [`SimEvent::GppRetired`] (DESIGN.md §10).
-#[derive(Clone, Debug, Default)]
-pub struct StatsObserver {
-    totals: SystemStats,
-}
-
-impl StatsObserver {
-    /// A fresh observer with zeroed counters.
-    pub fn new() -> StatsObserver {
-        StatsObserver::default()
-    }
-
-    /// The counters accumulated so far.
-    pub fn stats(&self) -> &SystemStats {
-        &self.totals
-    }
-}
-
-impl Observer for StatsObserver {
-    fn on_event(&mut self, _ctx: &EventCtx<'_>, event: &SimEvent) {
-        let t = &mut self.totals;
-        match *event {
-            SimEvent::GppRetired { cycles, .. } => {
-                t.gpp_cycles += cycles;
-                t.gpp_retired += 1;
-                t.cache_lookups += 1;
-            }
-            SimEvent::OffloadStarted { .. } => t.cache_lookups += 1,
-            SimEvent::OffloadCompleted {
-                instr_count,
-                exec_cycles,
-                overheads,
-                loads,
-                stores,
-                active_fus,
-                cols_used,
-                ..
-            } => {
-                t.cgra_exec_cycles += exec_cycles;
-                t.reconfig_cycles += overheads.reconfig_extra;
-                t.rotate_cycles += overheads.rotate;
-                t.transfer_cycles += overheads.input + overheads.out_drain;
-                t.offloads += 1;
-                t.offloaded_instrs += instr_count as u64;
-                t.cgra_loads += loads;
-                t.cgra_stores += stores;
-                t.cgra_active_fu_slots += active_fus;
-                t.cgra_columns += cols_used as u64;
-            }
-            SimEvent::OffloadSkipped { .. } => t.offloads_skipped += 1,
-            SimEvent::AllocationStarved { .. } => t.offloads_starved += 1,
-            SimEvent::ConfigLoaded { .. }
-            | SimEvent::Rotated { .. }
-            | SimEvent::CacheInserted { .. }
-            | SimEvent::CacheEvicted { .. }
-            | SimEvent::RequestArrived { .. }
-            | SimEvent::RequestServed { .. }
-            | SimEvent::RequestShed { .. } => {}
-        }
-    }
-
-    fn report(&self) -> Option<ProbeReport> {
-        Some(ProbeReport::Stats(self.totals))
     }
 }
 
@@ -582,73 +472,6 @@ impl Observer for EpochSnapshots {
     }
 }
 
-/// Per-kind event totals (the `event-counts` probe's report payload).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EventCounts {
-    /// [`SimEvent::GppRetired`] events.
-    pub gpp_retired: u64,
-    /// [`SimEvent::OffloadStarted`] events.
-    pub offloads_started: u64,
-    /// [`SimEvent::OffloadCompleted`] events.
-    pub offloads_completed: u64,
-    /// [`SimEvent::OffloadSkipped`] events.
-    pub offloads_skipped: u64,
-    /// [`SimEvent::AllocationStarved`] events (DESIGN.md §14).
-    pub allocations_starved: u64,
-    /// [`SimEvent::ConfigLoaded`] events.
-    pub config_loads: u64,
-    /// [`SimEvent::Rotated`] events.
-    pub rotations: u64,
-    /// [`SimEvent::CacheInserted`] events.
-    pub cache_insertions: u64,
-    /// [`SimEvent::CacheEvicted`] events.
-    pub cache_evictions: u64,
-    /// [`SimEvent::RequestArrived`] events.
-    pub requests_arrived: u64,
-    /// [`SimEvent::RequestServed`] events.
-    pub requests_served: u64,
-    /// [`SimEvent::RequestShed`] events.
-    pub requests_shed: u64,
-}
-
-/// Observer counting events by kind — the cheapest useful probe, and the
-/// reference example for writing new ones.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct EventCounter {
-    counts: EventCounts,
-}
-
-impl EventCounter {
-    /// The totals so far.
-    pub fn counts(&self) -> &EventCounts {
-        &self.counts
-    }
-}
-
-impl Observer for EventCounter {
-    fn on_event(&mut self, _ctx: &EventCtx<'_>, event: &SimEvent) {
-        let c = &mut self.counts;
-        match event {
-            SimEvent::GppRetired { .. } => c.gpp_retired += 1,
-            SimEvent::OffloadStarted { .. } => c.offloads_started += 1,
-            SimEvent::OffloadCompleted { .. } => c.offloads_completed += 1,
-            SimEvent::OffloadSkipped { .. } => c.offloads_skipped += 1,
-            SimEvent::AllocationStarved { .. } => c.allocations_starved += 1,
-            SimEvent::ConfigLoaded { .. } => c.config_loads += 1,
-            SimEvent::Rotated { .. } => c.rotations += 1,
-            SimEvent::CacheInserted { .. } => c.cache_insertions += 1,
-            SimEvent::CacheEvicted { .. } => c.cache_evictions += 1,
-            SimEvent::RequestArrived { .. } => c.requests_arrived += 1,
-            SimEvent::RequestServed { .. } => c.requests_served += 1,
-            SimEvent::RequestShed { .. } => c.requests_shed += 1,
-        }
-    }
-
-    fn report(&self) -> Option<ProbeReport> {
-        Some(ProbeReport::EventCounts(self.counts))
-    }
-}
-
 /// Default sampling interval of the [`ProbeSpec::QueueDepth`] probe: one
 /// minute of serving time at the traffic subsystem's default device clock
 /// (DESIGN.md §13).
@@ -744,10 +567,8 @@ impl Observer for QueueDepthTrace {
 ///
 /// | String | Meaning |
 /// |---|---|
-/// | `stats` | an independent [`StatsObserver`] (equivalence checking) |
 /// | `util-trace` | [`EpochSnapshots`] at the default 10 000-cycle epoch |
 /// | `util-trace@every-50000` | explicit epoch length |
-/// | `event-counts` | per-kind event totals ([`EventCounter`]) |
 /// | `queue-depth[@every-<n>]` | device-queue depth series ([`QueueDepthTrace`]) |
 ///
 /// # Examples
@@ -762,15 +583,11 @@ impl Observer for QueueDepthTrace {
 /// ```
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProbeSpec {
-    /// An independent [`StatsObserver`] replaying the stream.
-    Stats,
     /// An [`EpochSnapshots`] observer sampling every `every` cycles.
     UtilTrace {
         /// Sampling interval in system cycles.
         every: u64,
     },
-    /// An [`EventCounter`].
-    EventCounts,
     /// A [`QueueDepthTrace`] observer sampling every `every` cycles
     /// (DESIGN.md §13).
     QueueDepth {
@@ -787,16 +604,18 @@ impl ProbeSpec {
 
     /// Instantiates a fresh observer for this spec.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on `UtilTrace { every: 0 }` (an unconstructable spec via the
-    /// string grammar; reachable only by literal).
-    pub fn build(&self) -> Box<dyn Observer> {
+    /// [`BuildError::InvalidProbe`] on a zero sampling epoch. The string
+    /// grammar rejects one, but a literal or a spec read from JSON
+    /// (`{"UtilTrace":{"every":0}}`) can carry it.
+    pub fn build(&self) -> Result<Box<dyn Observer>, BuildError> {
         match *self {
-            ProbeSpec::Stats => Box::new(StatsObserver::new()),
-            ProbeSpec::UtilTrace { every } => Box::new(EpochSnapshots::new(every)),
-            ProbeSpec::EventCounts => Box::new(EventCounter::default()),
-            ProbeSpec::QueueDepth { every } => Box::new(QueueDepthTrace::new(every)),
+            ProbeSpec::UtilTrace { every: 0 } | ProbeSpec::QueueDepth { every: 0 } => {
+                Err(BuildError::InvalidProbe { probe: self.to_string() })
+            }
+            ProbeSpec::UtilTrace { every } => Ok(Box::new(EpochSnapshots::new(every))),
+            ProbeSpec::QueueDepth { every } => Ok(Box::new(QueueDepthTrace::new(every))),
         }
     }
 }
@@ -804,9 +623,7 @@ impl ProbeSpec {
 impl fmt::Display for ProbeSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProbeSpec::Stats => f.write_str("stats"),
             ProbeSpec::UtilTrace { every } => write!(f, "util-trace@every-{every}"),
-            ProbeSpec::EventCounts => f.write_str("event-counts"),
             ProbeSpec::QueueDepth { every } => write!(f, "queue-depth@every-{every}"),
         }
     }
@@ -821,8 +638,6 @@ impl FromStr for ProbeSpec {
             None => (s, None),
         };
         match (head, tail) {
-            ("stats", None) => Ok(ProbeSpec::Stats),
-            ("event-counts", None) => Ok(ProbeSpec::EventCounts),
             ("util-trace", None) => Ok(ProbeSpec::UtilTrace { every: DEFAULT_EPOCH_CYCLES }),
             ("queue-depth", None) => {
                 Ok(ProbeSpec::QueueDepth { every: DEFAULT_QUEUE_EPOCH_CYCLES })
@@ -844,8 +659,8 @@ impl FromStr for ProbeSpec {
                 }
             }
             _ => Err(ParseSpecError::new(format!(
-                "unknown probe spec `{s}` (expected stats, util-trace[@every-<n>], \
-                 queue-depth[@every-<n>] or event-counts)"
+                "unknown probe spec `{s}` (expected util-trace[@every-<n>] or \
+                 queue-depth[@every-<n>])"
             ))),
         }
     }
@@ -855,12 +670,8 @@ impl FromStr for ProbeSpec {
 /// [`BenchmarkRun`](crate::BenchmarkRun) so sweep output stays pure data.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ProbeReport {
-    /// Counters replayed by an independent [`StatsObserver`].
-    Stats(SystemStats),
     /// A [`UtilTrace`] from an [`EpochSnapshots`] probe.
     UtilTrace(UtilTrace),
-    /// Totals from an [`EventCounter`] probe.
-    EventCounts(EventCounts),
     /// A depth series from a [`QueueDepthTrace`] probe (DESIGN.md §13).
     QueueDepth(QueueDepthSeries),
 }
@@ -873,14 +684,6 @@ impl ProbeReport {
             _ => None,
         }
     }
-
-    /// The event totals, if this report carries them.
-    pub fn as_event_counts(&self) -> Option<&EventCounts> {
-        match self {
-            ProbeReport::EventCounts(c) => Some(c),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -890,8 +693,6 @@ mod tests {
     #[test]
     fn probe_specs_round_trip_their_canonical_strings() {
         let cases = [
-            ("stats", ProbeSpec::Stats),
-            ("event-counts", ProbeSpec::EventCounts),
             ("util-trace@every-50000", ProbeSpec::UtilTrace { every: 50_000 }),
             ("util-trace@every-7", ProbeSpec::UtilTrace { every: 7 }),
             ("queue-depth@every-9000", ProbeSpec::QueueDepth { every: 9_000 }),
@@ -922,7 +723,9 @@ mod tests {
             "util-trace@sometimes",
             "queue-depth@every-0",
             "queue-depth@sometimes",
+            "stats",
             "stats@every-5",
+            "event-counts",
             "event-counts@every-5",
         ] {
             assert!(s.parse::<ProbeSpec>().is_err(), "`{s}` should not parse");
@@ -931,12 +734,7 @@ mod tests {
 
     #[test]
     fn probe_specs_survive_json() {
-        for spec in [
-            ProbeSpec::Stats,
-            ProbeSpec::EventCounts,
-            ProbeSpec::UtilTrace { every: 123 },
-            ProbeSpec::QueueDepth { every: 77 },
-        ] {
+        for spec in [ProbeSpec::UtilTrace { every: 123 }, ProbeSpec::QueueDepth { every: 77 }] {
             let json = serde_json::to_string(&spec).unwrap();
             let back: ProbeSpec = serde_json::from_str(&json).unwrap();
             assert_eq!(back, spec, "{json}");
@@ -1049,27 +847,6 @@ mod tests {
         // First epoch boundary crossed by the shed at cycle 120, plus the
         // end-of-run sample after the serve brought the depth back to 1.
         assert_eq!(series.samples, vec![(120, 2), (300, 1)]);
-    }
-
-    #[test]
-    fn event_counter_tallies_request_events() {
-        let tracker = uaware::UtilizationTracker::new(&cgra::Fabric::be());
-        let ctx = EventCtx { cycle: 1, tracker: &tracker };
-        let mut counter = EventCounter::default();
-        counter
-            .on_event(&ctx, &SimEvent::RequestArrived { request: 0, workload: 0, queue_depth: 1 });
-        counter.on_event(
-            &ctx,
-            &SimEvent::RequestServed {
-                request: 0,
-                wait_cycles: 2,
-                service_cycles: 3,
-                deferred: true,
-            },
-        );
-        counter.on_event(&ctx, &SimEvent::RequestShed { request: 1, queue_depth: 9 });
-        let c = counter.counts();
-        assert_eq!((c.requests_arrived, c.requests_served, c.requests_shed), (1, 1, 1));
     }
 
     #[test]

@@ -1449,7 +1449,9 @@ pub struct DayServeReport {
 ///
 /// # Errors
 ///
-/// Propagates simulation errors from the service-cost measurements.
+/// [`SystemError::Build`] with [`BuildError::InvalidProbe`](crate::BuildError::InvalidProbe)
+/// for a zero-epoch probe spec; otherwise propagates simulation errors
+/// from the service-cost measurements.
 ///
 /// # Panics
 ///
@@ -1465,6 +1467,7 @@ pub fn probe_service_day(
 ) -> Result<(DayServeReport, Vec<ProbeReport>), SystemError> {
     assert!(lane < plan.effective_lanes().max(1), "lane {lane} outside the plan's lanes");
     assert!(plan.pattern_days > 0, "pattern_days must be positive");
+    let mut observers = probes.iter().map(ProbeSpec::build).collect::<Result<Vec<_>, _>>()?;
     let workloads = plan.suite.workloads(derive_cell_seed(plan.base_seed, lane as u64));
     let mut table = ServiceTable::new(&plan.config, policy, &workloads);
     let mask = FaultMask::healthy(&plan.config.fabric);
@@ -1476,7 +1479,6 @@ pub fn probe_service_day(
         plan.clock_hz,
         workloads.len() as u32,
     );
-    let mut observers: Vec<Box<dyn Observer>> = probes.iter().map(|p| p.build()).collect();
     let outcome = run_service_day(
         &arrivals,
         costs,

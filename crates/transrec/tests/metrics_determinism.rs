@@ -1,7 +1,7 @@
 //! The flight recorder's determinism contract (DESIGN.md §16): with
 //! collection enabled, the folded metrics registry is byte-identical
 //! across worker counts, shard splits and kill/resume points, and its
-//! counters agree exactly with the typed event stream the observers see.
+//! `system.*` counters agree exactly with the suite runs' `SystemStats`.
 //! These are the facts CI's `results/metrics.json` byte-identity gate
 //! rides on.
 
@@ -10,7 +10,6 @@ use std::path::{Path, PathBuf};
 use cgra::Fabric;
 use transrec::fleet::{run_fleet_campaign, CampaignOptions, CampaignStatus, FleetPlan};
 use transrec::sweep::{run_sweep, run_sweep_observed, SuiteSpec, SweepPlan};
-use transrec::telemetry::{EventCounts, ProbeSpec};
 use transrec::traffic::{run_serving_campaign, ServePlan, TrafficSpec};
 use uaware::PolicySpec;
 
@@ -99,10 +98,9 @@ fn sweep_registry_is_invariant_under_worker_count_and_observation() {
 
 #[test]
 fn registry_counters_match_the_typed_event_stream() {
-    // Every policy family under one observed sweep, with the EventCounts
-    // probe riding along: the registry's bridged counters must agree
-    // *exactly* with what the typed observers saw — two independent
-    // consumers of the same decision sites.
+    // Every policy family under one observed sweep: the registry's
+    // `system.*` counters must agree *exactly* with the `SystemStats` the
+    // suite runs report.
     let plan = SweepPlan::new(0xDAC2020)
         .fabric(Fabric::be())
         .policy(PolicySpec::Baseline)
@@ -110,38 +108,19 @@ fn registry_counters_match_the_typed_event_stream() {
         .policy(PolicySpec::Random { seed: 7 })
         .policy(PolicySpec::HealthAware)
         .policy(PolicySpec::Exact { every: 1 })
-        .suites(vec![SuiteSpec::full()])
-        .probe(ProbeSpec::EventCounts);
+        .suites(vec![SuiteSpec::full()]);
     let (runs, reg) = run_sweep_observed(&plan, 4).expect("observed sweep runs");
 
-    let mut fold = EventCounts::default();
-    for run in &runs {
-        for bench in &run.benchmarks {
-            let counts = bench
-                .probes
-                .iter()
-                .find_map(|p| p.as_event_counts())
-                .expect("EventCounts probe reports");
-            fold.gpp_retired += counts.gpp_retired;
-            fold.offloads_started += counts.offloads_started;
-            fold.offloads_completed += counts.offloads_completed;
-            fold.offloads_skipped += counts.offloads_skipped;
-            fold.allocations_starved += counts.allocations_starved;
-            fold.config_loads += counts.config_loads;
-            fold.rotations += counts.rotations;
-            fold.cache_insertions += counts.cache_insertions;
-            fold.cache_evictions += counts.cache_evictions;
-        }
-    }
-    assert_eq!(reg.counter("system.gpp_retired"), fold.gpp_retired);
-    assert_eq!(reg.counter("system.offloads"), fold.offloads_started);
-    assert_eq!(reg.counter("system.offloads_completed"), fold.offloads_completed);
-    assert_eq!(reg.counter("system.offloads_skipped"), fold.offloads_skipped);
-    assert_eq!(reg.counter("system.offloads_starved"), fold.allocations_starved);
-    assert_eq!(reg.counter("system.config_loads"), fold.config_loads);
-    assert_eq!(reg.counter("system.rotations"), fold.rotations);
-    assert_eq!(reg.counter("system.cache_inserted"), fold.cache_insertions);
-    assert_eq!(reg.counter("system.cache_evicted"), fold.cache_evictions);
+    let stats = runs.iter().flat_map(|run| &run.benchmarks).map(|bench| bench.stats);
+    let (gpp_retired, offloads, skipped, starved) =
+        stats.fold((0, 0, 0, 0), |(g, o, sk, st), s| {
+            (g + s.gpp_retired, o + s.offloads, sk + s.offloads_skipped, st + s.offloads_starved)
+        });
+    assert_eq!(reg.counter("system.gpp_retired"), gpp_retired);
+    assert_eq!(reg.counter("system.offloads"), offloads);
+    assert_eq!(reg.counter("system.offloads_completed"), offloads);
+    assert_eq!(reg.counter("system.offloads_skipped"), skipped);
+    assert_eq!(reg.counter("system.offloads_starved"), starved);
 
     // Each policy fires exactly one decision event per next_offset call,
     // and the system calls next_offset once per offload attempt.
@@ -149,7 +128,7 @@ fn registry_counters_match_the_typed_event_stream() {
         .iter()
         .map(|p| reg.counter(&format!("alloc.{p}.decisions")))
         .sum();
-    assert_eq!(decisions, fold.offloads_started + fold.allocations_starved);
+    assert_eq!(decisions, reg.counter("system.offloads") + reg.counter("system.offloads_starved"));
     for policy in ["baseline", "rotation", "random", "health-aware", "exact"] {
         assert!(
             reg.counter(&format!("alloc.{policy}.decisions")) > 0,

@@ -76,7 +76,9 @@ fn sweep_with_probes_is_identical_across_worker_counts() {
     // Telemetry rides the plan as data (fresh observers per cell), so the
     // probe-bearing output must stay byte-identical for every worker
     // count, exactly like the counters.
-    let plan = mini_plan().probe(ProbeSpec::util_trace(10_000)).probe(ProbeSpec::EventCounts);
+    let plan = mini_plan()
+        .probe(ProbeSpec::util_trace(10_000))
+        .probe(ProbeSpec::QueueDepth { every: 10_000 });
     let sequential = run_sweep(&plan, 1).expect("jobs=1 sweep runs");
     let parallel = run_sweep(&plan, 4).expect("jobs=4 sweep runs");
     let a = serde_json::to_string_pretty(&sequential).expect("serialize");
@@ -87,7 +89,7 @@ fn sweep_with_probes_is_identical_across_worker_counts() {
         for bench in &run.benchmarks {
             assert_eq!(bench.probes.len(), 2, "{}/{}", run.policy, bench.name);
             assert!(matches!(bench.probes[0], ProbeReport::UtilTrace(_)));
-            assert!(matches!(bench.probes[1], ProbeReport::EventCounts(_)));
+            assert!(matches!(bench.probes[1], ProbeReport::QueueDepth(_)));
             let trace = bench.probes[0].as_util_trace().unwrap();
             assert_eq!(trace.total_cycles(), bench.stats.total_cycles());
         }

@@ -38,11 +38,14 @@ fn suite_verifies_on_all_scenarios() {
 
 #[test]
 fn health_aware_policy_is_also_correct() {
-    // The oracle-scanning policy is the slowest; one benchmark suffices.
-    let w = &mibench::suite(3)[1]; // crc32
-    let mut sys = System::builder(Fabric::be()).policy(PolicySpec::HealthAware).build().unwrap();
-    sys.run(w.program()).unwrap();
-    w.verify(sys.cpu()).unwrap();
+    // The oracle-scanning policy gets its own full-suite pass: no other
+    // test runs every workload under it.
+    for w in &mibench::suite(3) {
+        let mut sys =
+            System::builder(Fabric::be()).policy(PolicySpec::HealthAware).build().unwrap();
+        sys.run(w.program()).unwrap_or_else(|e| panic!("{}: {e}", w.name()));
+        w.verify(sys.cpu()).unwrap_or_else(|e| panic!("{}: {e}", w.name()));
+    }
 }
 
 #[test]

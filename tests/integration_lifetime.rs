@@ -3,13 +3,20 @@
 
 use cgra::Fabric;
 use nbti::CalibratedAging;
-use transrec::{run_suite, EnergyParams};
+use transrec::{run_suite_with_options, EnergyParams, SuiteOptions, SystemConfig};
 use uaware::PolicySpec;
 
 fn suite_utilization(fabric: Fabric, rotation: bool) -> uaware::UtilizationGrid {
     let workloads = mibench::suite(0xDAC2020);
     let spec = if rotation { PolicySpec::rotation() } else { PolicySpec::Baseline };
-    let run = run_suite(fabric, &workloads, &EnergyParams::default(), &spec).unwrap();
+    let config = SystemConfig::new(fabric);
+    let run = run_suite_with_options(
+        &config,
+        &workloads,
+        &EnergyParams::default(),
+        SuiteOptions::new(spec),
+    )
+    .unwrap();
     assert!(run.all_verified());
     run.tracker.utilization()
 }
