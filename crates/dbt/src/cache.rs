@@ -3,24 +3,12 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::translate::CachedConfig;
 
-/// Cache hit/miss counters.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Successful lookups.
-    pub hits: u64,
-    /// Failed lookups.
-    pub misses: u64,
-    /// Entries inserted.
-    pub insertions: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
-}
-
 /// An LRU cache of translated configurations, keyed by start PC.
+///
+/// Hits, misses, insertions and evictions are counted as the
+/// `dbt.cache.{hit,miss,insert,evict}` metrics (DESIGN.md §16).
 ///
 /// # Examples
 ///
@@ -28,14 +16,14 @@ pub struct CacheStats {
 /// use dbt::ConfigCache;
 /// let mut cache = ConfigCache::new(32);
 /// assert!(cache.lookup(0x1000).is_none());
-/// assert_eq!(cache.stats().misses, 1);
+/// assert!(!cache.contains(0x1000));
+/// assert!(cache.is_empty());
 /// ```
 #[derive(Clone, Debug)]
 pub struct ConfigCache {
     capacity: usize,
     entries: HashMap<u32, Entry>,
     tick: u64,
-    stats: CacheStats,
 }
 
 #[derive(Clone, Debug)]
@@ -52,7 +40,7 @@ impl ConfigCache {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> ConfigCache {
         assert!(capacity > 0, "cache capacity must be positive");
-        ConfigCache { capacity, entries: HashMap::new(), tick: 0, stats: CacheStats::default() }
+        ConfigCache { capacity, entries: HashMap::new(), tick: 0 }
     }
 
     /// Maximum number of entries.
@@ -70,29 +58,22 @@ impl ConfigCache {
         self.entries.is_empty()
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    /// `true` if `pc` has an entry (does not touch LRU state or counters).
+    /// `true` if `pc` has an entry (does not touch LRU state or metrics).
     pub fn contains(&self, pc: u32) -> bool {
         self.entries.contains_key(&pc)
     }
 
     /// Looks up the configuration starting at `pc`, updating LRU order and
-    /// hit/miss counters.
+    /// the hit/miss metrics.
     pub fn lookup(&mut self, pc: u32) -> Option<&CachedConfig> {
         self.tick += 1;
         match self.entries.get_mut(&pc) {
             Some(e) => {
                 e.last_used = self.tick;
-                self.stats.hits += 1;
                 tracing::event!(tracing::Level::TRACE, "dbt.cache.hit", "add" = 1);
                 Some(&e.config)
             }
             None => {
-                self.stats.misses += 1;
                 tracing::event!(tracing::Level::TRACE, "dbt.cache.miss", "add" = 1);
                 None
             }
@@ -112,12 +93,10 @@ impl ConfigCache {
         if !self.entries.contains_key(&pc) && self.entries.len() >= self.capacity {
             if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, e)| e.last_used) {
                 self.entries.remove(&victim);
-                self.stats.evictions += 1;
                 tracing::event!(tracing::Level::TRACE, "dbt.cache.evict", "add" = 1);
                 evicted = Some(victim);
             }
         }
-        self.stats.insertions += 1;
         tracing::event!(tracing::Level::TRACE, "dbt.cache.insert", "add" = 1);
         self.entries.insert(pc, Entry { config, last_used: self.tick });
         evicted
@@ -125,8 +104,7 @@ impl ConfigCache {
 
     /// Drops every cached configuration — the DBT flush on a program
     /// switch (translations are PC-indexed, so entries from a previous
-    /// program would alias the new one). Hit/miss/insertion counters keep
-    /// accumulating across the flush.
+    /// program would alias the new one).
     pub fn clear(&mut self) {
         self.entries.clear();
     }
@@ -182,11 +160,13 @@ mod tests {
     #[test]
     fn hit_miss_counting() {
         let mut c = ConfigCache::new(4);
-        assert!(c.lookup(0x100).is_none());
-        c.insert(dummy(0x100));
-        assert!(c.lookup(0x100).is_some());
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().misses, 1);
+        assert!(c.lookup(0x100).is_none(), "cold cache misses");
+        assert!(!c.contains(0x100), "a miss inserts nothing");
+        assert_eq!(c.insert(dummy(0x100)), None);
+        assert_eq!(c.lookup(0x100).map(|cc| cc.start_pc), Some(0x100), "hit returns the entry");
+        assert!(c.lookup(0x200).is_none(), "other PCs still miss");
+        c.clear();
+        assert!(c.lookup(0x100).is_none(), "a flush drops every entry");
     }
 
     #[test]
@@ -199,7 +179,7 @@ mod tests {
         assert!(c.contains(0x100));
         assert!(!c.contains(0x200), "LRU entry evicted");
         assert!(c.contains(0x300));
-        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.len(), 2, "exactly one eviction");
     }
 
     #[test]
@@ -208,7 +188,7 @@ mod tests {
         c.insert(dummy(0x100));
         assert_eq!(c.insert(dummy(0x100)), None, "replacement is not an eviction");
         assert_eq!(c.len(), 1);
-        assert_eq!(c.stats().evictions, 0);
+        assert!(c.contains(0x100));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod membus;
 pub mod trace;
 pub mod translate;
 
-pub use cache::{CacheStats, ConfigCache};
+pub use cache::ConfigCache;
 pub use trace::{Translator, TranslatorStats};
 pub use translate::{
     is_supported, translate_prefix, translate_trace, CachedConfig, StopReason, TraceExit,

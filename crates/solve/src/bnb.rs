@@ -2,30 +2,15 @@
 //!
 //! Best-first search over partial assignments with two admissible lower
 //! bounds (current worst resource; ceil-average of the committed plus
-//! minimum-remaining load mass), a nogood table pruning re-derived states
-//! in the CDCL spirit, and symmetry breaking over exchangeable slots. All
-//! tie-breaks are resolved deterministically (leximin refinement in the
-//! greedy seed, then ascending choice index, FIFO among equal bounds), so
-//! solutions are bit-reproducible.
+//! minimum-remaining load mass) and symmetry breaking over exchangeable
+//! slots. All tie-breaks are resolved deterministically (leximin refinement
+//! in the greedy seed, then ascending choice index, FIFO among equal
+//! bounds), so solutions are bit-reproducible.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use tracing::{event, Level};
-
-/// Publishes a finished search's counters as `solve.*` metric events
-/// (DESIGN.md §16) — a no-op branch when no subscriber is installed.
-fn emit_stats(stats: &SolveStats) {
-    event!(
-        Level::DEBUG,
-        "solve",
-        "calls" = 1,
-        "expanded" = stats.expanded,
-        "generated" = stats.generated,
-        "bound_cutoffs" = stats.pruned_bound,
-        "nogoods" = stats.pruned_nogood,
-    );
-}
 
 /// A minimax assignment problem: `slots()` decisions, each picking one of
 /// `choices()` options, every option adding integer load to some of the
@@ -62,22 +47,6 @@ pub trait MinimaxProblem {
     }
 }
 
-/// Search counters of one [`solve`] call (for benches and diagnostics;
-/// never part of the objective).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct SolveStats {
-    /// Nodes popped from the frontier and branched on.
-    pub expanded: u64,
-    /// Children generated across all expansions.
-    pub generated: u64,
-    /// Children discarded because their lower bound matched or exceeded
-    /// the incumbent.
-    pub pruned_bound: u64,
-    /// Children discarded because an identical state (depth, symmetry
-    /// floor, load vector) was already recorded in the nogood table.
-    pub pruned_nogood: u64,
-}
-
 /// An optimal assignment returned by [`solve`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Solution {
@@ -87,8 +56,6 @@ pub struct Solution {
     /// problems the improving search explores non-decreasing sequences,
     /// but the greedy incumbent may survive unsorted.
     pub choices: Vec<usize>,
-    /// Search counters.
-    pub stats: SolveStats,
 }
 
 /// One frontier node: a partial assignment of the first `depth` slots.
@@ -113,16 +80,16 @@ struct Node {
 /// construction — ascending choice order, FIFO tie-breaks on equal bounds,
 /// integer arithmetic only — so equal problems yield byte-identical
 /// solutions.
+///
+/// Every call emits one `solve` metrics event (DESIGN.md §16), a no-op
+/// branch when no subscriber is installed: `solve.calls` plus either
+/// `solve.infeasible` or the search counters `solve.expanded` (nodes
+/// branched on), `solve.generated` (children built) and
+/// `solve.bound_cutoffs` (children whose bound reached the incumbent).
 pub fn solve<P: MinimaxProblem>(p: &P) -> Option<Solution> {
     let n = p.slots();
     let r = p.resources();
-    let mut stats = SolveStats::default();
     let initial: Vec<u64> = (0..r).map(|i| p.initial_load(i)).collect();
-    if n == 0 {
-        let objective = initial.iter().copied().max().unwrap_or(0);
-        emit_stats(&stats);
-        return Some(Solution { objective, choices: Vec::new(), stats });
-    }
 
     // Minimum total load mass each slot must add (over its legal choices);
     // a slot with no legal choice makes the problem infeasible.
@@ -135,7 +102,7 @@ pub fn solve<P: MinimaxProblem>(p: &P) -> Option<Solution> {
             }
         }
         if *m == u64::MAX {
-            event!(Level::DEBUG, "solve.infeasible", "add" = 1);
+            event!(Level::DEBUG, "solve", "calls" = 1, "infeasible" = 1);
             return None;
         }
     }
@@ -195,13 +162,14 @@ pub fn solve<P: MinimaxProblem>(p: &P) -> Option<Solution> {
     // Best-first expansion: pop the open node with the smallest lower
     // bound (FIFO among equals via a monotone sequence number), branch on
     // its next slot. Once the smallest open bound reaches the incumbent,
-    // the incumbent is proven optimal.
+    // the incumbent is proven optimal (at once when there are no slots: the
+    // root's bound is the initial maximum).
     let sum0: u64 = initial.iter().sum();
     let exchangeable = p.exchangeable();
     let mut nodes: Vec<Option<Node>> = Vec::new();
     let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-    let mut seen: HashSet<(usize, usize, Vec<u64>)> = HashSet::new();
     let mut seq: u64 = 0;
+    let (mut expanded, mut generated, mut bound_cutoffs) = (0u64, 0u64, 0u64);
     let root = Node { depth: 0, floor: 0, loads: initial, sum: sum0, choices: Vec::new() };
     let root_lb = lb_of(0, &root.loads, root.sum);
     nodes.push(Some(root));
@@ -212,12 +180,12 @@ pub fn solve<P: MinimaxProblem>(p: &P) -> Option<Solution> {
             break; // every open node is at least as bad as the incumbent
         }
         let node = nodes[idx].take().expect("frontier nodes are popped once");
-        stats.expanded += 1;
+        expanded += 1;
         for c in node.floor..p.choices() {
             if !p.legal(node.depth, c) {
                 continue;
             }
-            stats.generated += 1;
+            generated += 1;
             let mut loads = node.loads.clone();
             let mut sum = node.sum;
             for &(res, d) in p.deltas(node.depth, c) {
@@ -236,16 +204,10 @@ pub fn solve<P: MinimaxProblem>(p: &P) -> Option<Solution> {
             }
             let child_lb = lb_of(depth, &loads, sum);
             if child_lb >= ub {
-                stats.pruned_bound += 1;
+                bound_cutoffs += 1;
                 continue;
             }
             let floor = if exchangeable { c } else { 0 };
-            // Nogood table: an identical state was already enqueued via
-            // another path — re-deriving it cannot improve anything.
-            if !seen.insert((depth, floor, loads.clone())) {
-                stats.pruned_nogood += 1;
-                continue;
-            }
             let mut choices = node.choices.clone();
             choices.push(c);
             seq += 1;
@@ -254,8 +216,15 @@ pub fn solve<P: MinimaxProblem>(p: &P) -> Option<Solution> {
         }
     }
 
-    emit_stats(&stats);
-    Some(Solution { objective: ub, choices: best_choices, stats })
+    event!(
+        Level::DEBUG,
+        "solve",
+        "calls" = 1,
+        "expanded" = expanded,
+        "generated" = generated,
+        "bound_cutoffs" = bound_cutoffs,
+    );
+    Some(Solution { objective: ub, choices: best_choices })
 }
 
 /// Per-(slot, choice) load deltas of a [`TableProblem`]: indexed
@@ -328,6 +297,8 @@ impl MinimaxProblem for TableProblem {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     /// Exhaustive reference: enumerate every legal assignment.
@@ -464,20 +435,77 @@ mod tests {
     #[test]
     fn solutions_are_bit_reproducible() {
         let p = TableProblem::machines(&[3, 3, 2, 2, 2], 2);
-        let a = solve(&p).unwrap();
-        let b = solve(&p).unwrap();
-        assert_eq!(a, b, "same problem, same solution, same search counters");
-        assert!(a.stats.expanded > 0, "the greedy incumbent (7) is suboptimal, so search runs");
+        let (a, reg) = obs::collect(|| solve(&p).unwrap());
+        assert_eq!(a, solve(&p).unwrap(), "same problem, same solution");
+        assert!(reg.counter("solve.expanded") > 0, "the greedy incumbent (7) is suboptimal");
     }
 
     #[test]
-    fn nogood_table_prunes_rederived_states() {
-        // The makespan instance re-derives the same machine-load vector
-        // along permuted job orders (3 on m0 then 3 on m1, and vice versa);
-        // the nogood table must catch the duplicates.
-        let p = TableProblem::machines(&[3, 3, 2, 2, 2], 2);
-        let s = solve(&p).unwrap();
-        assert_eq!(s.objective, 6);
-        assert!(s.stats.pruned_nogood > 0, "duplicate states must hit the nogood table");
+    fn every_call_emits_one_solve_event() {
+        // An infeasible call is still a call: `solve.calls` counts it and
+        // `solve.infeasible` says why it returned nothing.
+        let infeasible = TableProblem::new(vec![0], vec![vec![None]], false);
+        let (s, reg) = obs::collect(|| solve(&infeasible));
+        assert!(s.is_none());
+        assert_eq!(reg.counter("solve.calls"), 1);
+        assert_eq!(reg.counter("solve.infeasible"), 1);
+        let (s, reg) = obs::collect(|| solve(&TableProblem::machines(&[1], 2)));
+        assert!(s.is_some());
+        assert_eq!(reg.counter("solve.calls"), 1);
+        assert_eq!(reg.counter("solve.infeasible"), 0);
+    }
+
+    /// Up to 5 slots × 4 choices × 4 resources, one cell per (slot,
+    /// choice): a `0` tag makes the pair illegal (one in four), otherwise
+    /// up to three `(resource, delta)` pairs, resources taken modulo the
+    /// drawn count so repeated resources occur.
+    fn any_cells() -> impl Strategy<Value = Vec<(u8, Vec<(u32, u64)>)>> {
+        proptest::collection::vec(
+            (0u8..4, proptest::collection::vec((0u32..4, 0u64..6), 0..=3)),
+            5 * 4,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn solve_matches_brute_force_on_random_tables(
+            (slots, choices, resources) in (0usize..=5, 1usize..=4, 1usize..=4),
+            initial in proptest::collection::vec(0u64..8, 4),
+            cells in any_cells(),
+            replicate in any::<bool>(),
+        ) {
+            // `replicate` builds every slot from row 0, the only shape for
+            // which `exchangeable = true` is a sound promise.
+            let deltas: DeltaTable = (0..slots)
+                .map(|s| {
+                    let row = if replicate { 0 } else { s };
+                    (0..choices)
+                        .map(|c| {
+                            let (tag, pairs) = &cells[row * 4 + c];
+                            (*tag != 0).then(|| {
+                                pairs.iter().map(|&(res, d)| (res % resources as u32, d)).collect()
+                            })
+                        })
+                        .collect()
+                })
+                .collect();
+            let p = TableProblem::new(initial[..resources].to_vec(), deltas, replicate);
+            let solved = solve(&p);
+            prop_assert_eq!(solved.as_ref().map(|s| s.objective), brute_force(&p));
+            if let Some(s) = solved {
+                // The returned choices are legal and achieve the objective.
+                prop_assert_eq!(s.choices.len(), slots);
+                let mut loads = initial[..resources].to_vec();
+                for (slot, &c) in s.choices.iter().enumerate() {
+                    prop_assert!(p.legal(slot, c), "illegal choice {} for slot {}", c, slot);
+                    for &(res, d) in p.deltas(slot, c) {
+                        loads[res as usize] += d;
+                    }
+                }
+                prop_assert_eq!(loads.into_iter().max().unwrap_or(0), s.objective);
+            }
+        }
     }
 }

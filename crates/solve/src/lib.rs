@@ -30,5 +30,5 @@
 mod bnb;
 mod offsets;
 
-pub use bnb::{solve, DeltaTable, MinimaxProblem, Solution, SolveStats, TableProblem};
+pub use bnb::{solve, DeltaTable, MinimaxProblem, Solution, TableProblem};
 pub use offsets::OffsetProblem;

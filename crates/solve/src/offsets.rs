@@ -103,20 +103,9 @@ impl OffsetProblem {
         OffsetProblem { slots, initial: initial_loads.to_vec(), offsets, deltas }
     }
 
-    /// `false` when no pivot survived the legality predicate — solving
-    /// would report infeasibility (the policy's `None`).
-    pub fn is_feasible(&self) -> bool {
-        !self.offsets.is_empty()
-    }
-
     /// Maps a solver choice index back to its pivot offset.
     pub fn offset(&self, choice: usize) -> Offset {
         self.offsets[choice]
-    }
-
-    /// The legal pivots, in row-major enumeration order.
-    pub fn legal_offsets(&self) -> &[Offset] {
-        &self.offsets
     }
 }
 
@@ -164,10 +153,10 @@ mod tests {
         assert_eq!(p.offset(0), Offset::new(0, 0));
         assert_eq!(p.offset(7), Offset::new(1, 3));
         let filtered = OffsetProblem::new(&fabric, &[(0, 0)], &initial, 1, |o| o.row == 1);
-        assert_eq!(filtered.legal_offsets().len(), 4);
-        assert!(filtered.is_feasible());
+        assert_eq!(filtered.choices(), 4);
+        assert_eq!(filtered.offset(0), Offset::new(1, 0));
         let none = OffsetProblem::new(&fabric, &[(0, 0)], &initial, 1, |_| false);
-        assert!(!none.is_feasible());
+        assert_eq!(none.choices(), 0);
         assert!(solve(&none).is_none());
     }
 

@@ -634,11 +634,6 @@ impl System {
         self.faults.as_ref()
     }
 
-    /// Configuration-cache statistics.
-    pub fn cache_stats(&self) -> &dbt::CacheStats {
-        self.cache.stats()
-    }
-
     /// The allocation policy's instance-level name (pattern, granularity
     /// and seed included, e.g. `rotation:snake@per-load`).
     pub fn policy_name(&self) -> String {

@@ -1,7 +1,8 @@
 //! The telemetry layer's core contracts (DESIGN.md §10):
 //!
 //! * each event is counted once: the `system.*` registry counters agree
-//!   with `SystemStats` and with the configuration cache's own counts;
+//!   with `SystemStats` and with the configuration cache's own
+//!   `dbt.cache.*` metrics;
 //! * sessions are step-equivalent to `run()` and resumable;
 //! * epoch snapshots end on the run's exact final state;
 //! * a probe spec that cannot build is a typed error, not a panic.
@@ -153,7 +154,8 @@ fn epoch_trace_ends_on_the_final_tracker_state() {
 #[test]
 fn event_counts_agree_with_stats() {
     // The registry counters and `SystemStats` come out of the same fold;
-    // the cache keeps its own counts, so it checks both independently.
+    // the cache emits its own `dbt.cache.*` metrics at its own sites, so
+    // it checks both independently.
     let program = toy_program();
     let (sys, reg) = obs::collect(|| {
         let mut sys = System::builder(Fabric::be()).policy(PolicySpec::rotation()).build().unwrap();
@@ -161,17 +163,17 @@ fn event_counts_agree_with_stats() {
         sys
     });
     let stats = sys.stats();
-    let cache = sys.cache_stats();
     assert_eq!(reg.counter("system.gpp_retired"), stats.gpp_retired);
     assert_eq!(reg.counter("system.offloads"), stats.offloads);
     assert_eq!(reg.counter("system.offloads_completed"), stats.offloads);
     assert_eq!(reg.counter("system.offloads_skipped"), stats.offloads_skipped);
     assert_eq!(reg.counter("system.offloads_starved"), stats.offloads_starved);
-    assert_eq!(reg.counter("system.cache_inserted"), cache.insertions);
-    assert_eq!(reg.counter("system.cache_evicted"), cache.evictions);
+    assert_eq!(reg.counter("system.cache_inserted"), reg.counter("dbt.cache.insert"));
+    assert_eq!(reg.counter("system.cache_evicted"), reg.counter("dbt.cache.evict"));
     // The derived lookup identity (DESIGN.md §10).
     assert_eq!(stats.cache_lookups, stats.offloads + stats.gpp_retired);
-    assert_eq!(stats.cache_lookups, cache.hits + cache.misses);
+    let cache_checks = reg.counter("dbt.cache.hit") + reg.counter("dbt.cache.miss");
+    assert_eq!(stats.cache_lookups, cache_checks);
     // Rotation at per-exec granularity actually rotates the resident
     // configuration.
     assert!(reg.counter("system.rotations") > 0);

@@ -88,10 +88,13 @@ fn config_cache_thrash_is_correct() {
     let w = &mibench::suite(3)[5]; // sha
     let cfg =
         transrec::SystemConfig { cache_capacity: 2, ..transrec::SystemConfig::new(Fabric::be()) };
-    let mut sys = transrec::System::new(cfg, Box::new(uaware::BaselinePolicy));
-    sys.run(w.program()).unwrap();
+    let (sys, reg) = obs::collect(|| {
+        let mut sys = transrec::System::new(cfg, Box::new(uaware::BaselinePolicy));
+        sys.run(w.program()).unwrap();
+        sys
+    });
     w.verify(sys.cpu()).unwrap();
-    assert!(sys.cache_stats().evictions > 0, "tiny cache must evict");
+    assert!(reg.counter("dbt.cache.evict") > 0, "tiny cache must evict");
 }
 
 #[test]
